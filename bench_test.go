@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"testing"
 
+	"invisispec/internal/campaign"
 	"invisispec/internal/config"
 	"invisispec/internal/engine"
 	"invisispec/internal/harness"
@@ -43,10 +44,28 @@ func reportRun(b *testing.B, r harness.Result) {
 	b.ReportMetric(0, "ns/op") // simulated time is the metric, not host time
 }
 
-// benchSuite runs workload x defense sub-benchmarks for one suite. Each
-// sub-benchmark goes through the experiment runner (a one-job matrix), the
-// same path cmd/benchtable uses, so the benches exercise what the figures
-// measure.
+// runJobs measures a job matrix through the campaign layer — the same
+// path cmd/benchtable uses, so the benches exercise what the figures
+// measure — and fails the benchmark on any cell error.
+func runJobs(b *testing.B, jobs []runner.Job, workers int) []runner.JobResult {
+	b.Helper()
+	outcomes, err := campaign.Run(context.Background(), "bench",
+		campaign.JobCells(jobs, engine.KernelFast, 0), campaign.Options{Workers: workers})
+	if err != nil {
+		b.Fatal(err)
+	}
+	results, err := campaign.JobResults(jobs, outcomes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := runner.FirstError(results); err != nil {
+		b.Fatal(err)
+	}
+	return results
+}
+
+// benchSuite runs workload x defense sub-benchmarks for one suite, each a
+// one-job matrix through runJobs.
 func benchSuite(b *testing.B, names []string, parsec bool) {
 	for _, name := range names {
 		for _, d := range config.AllDefenses() {
@@ -57,11 +76,7 @@ func benchSuite(b *testing.B, names []string, parsec bool) {
 						Consistency: config.TSO,
 						Warmup:      benchWarmup, Measure: benchMeasure,
 					}}
-					results := runner.Run(context.Background(), jobs, runner.Options{Jobs: 1})
-					if err := runner.FirstError(results); err != nil {
-						b.Fatal(err)
-					}
-					reportRun(b, results[0].Result)
+					reportRun(b, runJobs(b, jobs, 1)[0].Result)
 				}
 			})
 		}
@@ -69,19 +84,16 @@ func benchSuite(b *testing.B, names []string, parsec bool) {
 }
 
 // BenchmarkRunnerFig4 runs the full Figure-4 TSO matrix (all SPEC kernels x
-// every registered defense) through the worker pool. Host time is the metric: run with
-// -cpu 1,4,8 to see the pool's wall-clock scaling on the exact workload the
-// figure generator shards (the ISSUE-2 acceptance measurement).
+// every registered defense) through the campaign worker pool. Host time is
+// the metric: run with -cpu 1,4,8 to see the pool's wall-clock scaling on
+// the exact workload the figure generator shards.
 func BenchmarkRunnerFig4(b *testing.B) {
 	jobs := runner.Matrix(workload.SPECNames(), false,
 		[]config.Consistency{config.TSO}, config.AllDefenses(), nil,
 		benchWarmup, benchMeasure)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := runner.Run(context.Background(), jobs, runner.Options{Jobs: runtime.GOMAXPROCS(0)})
-		if err := runner.FirstError(results); err != nil {
-			b.Fatal(err)
-		}
+		runJobs(b, jobs, runtime.GOMAXPROCS(0))
 	}
 	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 }

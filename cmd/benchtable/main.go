@@ -10,7 +10,7 @@
 //	benchtable -table 7    L1-SB / LLC-SB hardware overhead
 //
 // -measure scales the per-run instruction budget. The experiment matrix is
-// sharded across -jobs workers (default: all host CPUs) by internal/runner;
+// sharded across -jobs workers (default: all host CPUs) by internal/campaign;
 // each run is an isolated single-goroutine machine, and the aggregated
 // output is byte-identical to a -jobs 1 run. -benchjson additionally writes
 // the schema-versioned BENCH artifact that cmd/benchdiff gates CI with.
@@ -208,20 +208,21 @@ func runMatrix(jobs []runner.Job, name string) []runner.JobResult {
 	if !*quiet {
 		copts.Progress = os.Stderr
 	}
-	start := time.Now()
-	outcomes, err := campaign.Run(context.Background(), "benchtable-"+name,
-		campaign.JobCells(jobs, engine.KernelFast, 0), copts)
-	if err != nil {
-		fail(err)
+	sweep := campaign.BenchSweep{
+		Campaign: "benchtable-" + name,
+		Name:     name, Warmup: *warmup, Measure: *measure,
+		Jobs: jobs, Kernel: engine.KernelFast,
+		Repro: func(j runner.Job) string { return reproFor(name, j) },
 	}
-	results, err := campaign.JobResults(jobs, outcomes)
+	if *bjName != "" {
+		sweep.Name = *bjName
+	}
+	start := time.Now()
+	b, results, _, err := campaign.RunBench(context.Background(), sweep, copts)
 	if err != nil {
 		fail(err)
 	}
 	wall := time.Since(start)
-	degraded := campaign.Degraded(outcomes, func(o campaign.Outcome) string {
-		return reproFor(name, jobs[o.Index])
-	})
 	for _, r := range results {
 		if r.Err == nil {
 			csvRow(r)
@@ -229,21 +230,17 @@ func runMatrix(jobs []runner.Job, name string) []runner.JobResult {
 	}
 	var kernelWall map[string]time.Duration
 	if *cmpK {
-		if len(degraded) > 0 {
-			fail(fmt.Errorf("-comparekernels: %d cell(s) degraded, cannot certify kernel equivalence", len(degraded)))
+		if len(b.Degraded) > 0 {
+			fail(fmt.Errorf("-comparekernels: %d cell(s) degraded, cannot certify kernel equivalence", len(b.Degraded)))
 		}
-		opts := runner.Options{Jobs: *jobsN}
-		if !*quiet {
-			opts.Progress = os.Stderr
-		}
-		kernelWall = compareKernels(jobs, results, wall, opts)
+		kernelWall = compareKernels(sweep, b, wall, copts)
 	}
-	writeBenchJSON(results, name, degraded, wall, kernelWall)
+	writeBenchJSON(b, results, wall, kernelWall)
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "runner: %d jobs in %s at -jobs %d\n",
 			len(jobs), wall.Round(time.Millisecond), *jobsN)
 	}
-	if campaign.PrintDegraded(os.Stderr, "benchtable", degraded) {
+	if campaign.PrintDegraded(os.Stderr, "benchtable", b.Degraded) {
 		// The artifact and CSV are complete (minus the degraded cells);
 		// the human-readable tables would just divide by missing baselines.
 		csvClose()
@@ -256,33 +253,41 @@ func runMatrix(jobs []runner.Job, name string) []runner.JobResult {
 // unit-level half is internal/sim's TestKernelEquivalence): it re-runs the
 // exact job matrix under the cycle-by-cycle reference stepper and fails the
 // sweep unless the deterministic bench payload — every counter of every run —
-// is byte-identical to the fast kernel's. On success it returns both sweeps'
-// wall times for the artifact's quarantined host block, so benchdiff
-// trajectories record the fast-forward speedup without gating on it.
-func compareKernels(jobs []runner.Job, fast []runner.JobResult, fastWall time.Duration, opts runner.Options) map[string]time.Duration {
-	opts.Harness = append([]harness.Option{}, opts.Harness...)
-	opts.Harness = append(opts.Harness, harness.WithKernel(engine.KernelStepped))
+// is byte-identical to the fast kernel's. The stepped pass uses the fast
+// pass's campaign options minus the journal, so it never truncates or
+// re-heads the fast pass's -journal file. On success it returns both
+// sweeps' wall times for the artifact's quarantined host block, so
+// benchdiff trajectories record the fast-forward speedup without gating on
+// it.
+func compareKernels(fast campaign.BenchSweep, fastBench *runner.Bench, fastWall time.Duration, opts campaign.Options) map[string]time.Duration {
+	stepped := fast
+	stepped.Campaign += "-stepped"
+	stepped.Kernel = engine.KernelStepped
+	opts.Journal, opts.Resume = "", false
 	start := time.Now()
-	stepped := runner.Run(context.Background(), jobs, opts)
+	steppedBench, results, _, err := campaign.RunBench(context.Background(), stepped, opts)
 	steppedWall := time.Since(start)
-	if err := runner.FirstError(stepped); err != nil {
+	if err != nil {
 		fail(fmt.Errorf("stepped-kernel rerun: %w", err))
 	}
-	fastPayload, err := runner.NewBench("kernelcheck", *warmup, *measure, fast).DeterministicPayload()
+	if err := runner.FirstError(results); err != nil {
+		fail(fmt.Errorf("stepped-kernel rerun: %w", err))
+	}
+	fastPayload, err := fastBench.DeterministicPayload()
 	if err != nil {
 		fail(err)
 	}
-	steppedPayload, err := runner.NewBench("kernelcheck", *warmup, *measure, stepped).DeterministicPayload()
+	steppedPayload, err := steppedBench.DeterministicPayload()
 	if err != nil {
 		fail(err)
 	}
 	if !bytes.Equal(fastPayload, steppedPayload) {
 		fail(fmt.Errorf("kernel equivalence violated: stepped and fast payloads differ over %d jobs\n--- fast ---\n%s\n--- stepped ---\n%s",
-			len(jobs), fastPayload, steppedPayload))
+			len(fast.Jobs), fastPayload, steppedPayload))
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "kernels: %d jobs byte-identical; fast %s vs stepped %s (%.2fx)\n",
-			len(jobs), fastWall.Round(time.Millisecond), steppedWall.Round(time.Millisecond),
+			len(fast.Jobs), fastWall.Round(time.Millisecond), steppedWall.Round(time.Millisecond),
 			float64(steppedWall)/float64(fastWall))
 	}
 	return map[string]time.Duration{
@@ -292,15 +297,10 @@ func compareKernels(jobs []runner.Job, fast []runner.JobResult, fastWall time.Du
 }
 
 // writeBenchJSON emits the -benchjson artifact, if requested.
-func writeBenchJSON(results []runner.JobResult, name string, degraded []artifact.DegradedCell, wall time.Duration, kernelWall map[string]time.Duration) {
+func writeBenchJSON(b *runner.Bench, results []runner.JobResult, wall time.Duration, kernelWall map[string]time.Duration) {
 	if *bjPath == "" {
 		return
 	}
-	if *bjName != "" {
-		name = *bjName
-	}
-	b := runner.NewBench(name, *warmup, *measure, results)
-	b.Degraded = degraded
 	if *bjHost {
 		b.WithHost(wall, *jobsN, results)
 		for k, w := range kernelWall {

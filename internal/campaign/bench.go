@@ -2,9 +2,10 @@ package campaign
 
 // Bench adapter: turns the runner's experiment-matrix jobs into campaign
 // cells whose content key is the (workload, defense, consistency, seed,
-// budget, kernel) tuple, and maps campaign outcomes back into the JobResult
-// shape the figure generators and bench-JSON writer consume. cmd/benchtable
-// runs its whole matrix through this.
+// budget, kernel) tuple, maps campaign outcomes back into the JobResult
+// shape the figure generators consume, and assembles the bench artifact.
+// RunBench is the one place a job matrix becomes a bench artifact:
+// cmd/benchtable and the simulation server both call it.
 
 import (
 	"context"
@@ -102,4 +103,41 @@ func JobResults(jobs []runner.Job, outcomes []Outcome) ([]runner.JobResult, erro
 		}
 	}
 	return results, nil
+}
+
+// BenchSweep is one bench matrix for RunBench.
+type BenchSweep struct {
+	// Campaign names the run in progress lines and in its journal header.
+	Campaign string
+	// Name, Warmup and Measure are the artifact's header fields.
+	Name            string
+	Warmup, Measure uint64
+	Jobs            []runner.Job
+	Kernel          engine.Kernel
+	// Repro, when non-nil, supplies each degraded cell's ready-to-run
+	// reproduction command.
+	Repro func(j runner.Job) string
+}
+
+// RunBench runs a bench matrix as campaign cells under s.Kernel and
+// assembles its artifact: JobCells -> Run -> JobResults -> Degraded ->
+// runner.NewBench, with the degraded block set and no host block. It returns
+// the bench, the decoded results and the raw outcomes. On a campaign-level
+// error it returns the outcomes so far and no bench.
+func RunBench(ctx context.Context, s BenchSweep, opts Options) (*runner.Bench, []runner.JobResult, []Outcome, error) {
+	outcomes, err := Run(ctx, s.Campaign, JobCells(s.Jobs, s.Kernel, 0), opts)
+	if err != nil {
+		return nil, nil, outcomes, err
+	}
+	results, err := JobResults(s.Jobs, outcomes)
+	if err != nil {
+		return nil, nil, outcomes, err
+	}
+	var repro func(Outcome) string
+	if s.Repro != nil {
+		repro = func(o Outcome) string { return s.Repro(s.Jobs[o.Index]) }
+	}
+	b := runner.NewBench(s.Name, s.Warmup, s.Measure, results)
+	b.Degraded = Degraded(outcomes, repro)
+	return b, results, outcomes, nil
 }

@@ -47,7 +47,7 @@ func WithFaultSeed(seed int64) Option {
 // WithContext attaches a context to the run: both windows poll it
 // cooperatively (every sim.ctxCheckStride cycles) and a cancelled or expired
 // context aborts the measurement with an error wrapping ctx.Err(). The
-// parallel runner uses this for per-job wall-clock timeouts and sweep-wide
+// campaign layer uses this for per-cell wall-clock timeouts and sweep-wide
 // cancellation; cancellation never perturbs the simulated state, only when
 // the loop stops.
 func WithContext(ctx context.Context) Option {
@@ -298,7 +298,7 @@ func Record(run config.Run, name string, progs []*isa.Program, n uint64, opts ..
 // MeasureWorkload measures any registered workload on its default machine
 // size: 1 core for the SPEC kernels and attack programs, 8 for PARSEC,
 // the recorded width for imported traces. It is the single resolution
-// path the runner, campaign executor, and CLIs share — the per-matrix
+// path the campaign executor and the CLIs share — the per-matrix
 // SPEC/PARSEC dispatch lives in the registry now, not at call sites.
 func MeasureWorkload(name string, d config.Defense, cm config.Consistency, warmup, measure uint64, opts ...Option) (Result, error) {
 	w, err := workload.Lookup(name)
@@ -332,29 +332,6 @@ func MeasurePARSEC(name string, d config.Defense, cm config.Consistency, warmup,
 	}
 	run := config.Run{Machine: config.Default(8), Defense: d, Consistency: cm}
 	return Measure(run, name, progs, warmup, measure, opts...)
-}
-
-// Sweep runs one workload under every registered defense scheme for a
-// consistency model and returns results keyed by defense.
-//
-// Sweep is the serial reference implementation: it runs one job at a time in
-// defense order on the calling goroutine. The figure generators and benches
-// go through internal/runner instead, which shards the same jobs across a
-// worker pool; runner's determinism tests assert its aggregated output is
-// byte-identical to what this function produces.
-// The parsec flag is identity metadata only (it names the figure axis in
-// artifacts and journals); the registry decides the machine size.
-func Sweep(name string, parsec bool, cm config.Consistency, warmup, measure uint64) (map[config.Defense]Result, error) {
-	_ = parsec
-	out := make(map[config.Defense]Result, len(config.AllDefenses()))
-	for _, d := range config.AllDefenses() {
-		r, err := MeasureWorkload(name, d, cm, warmup, measure)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", name, d, err)
-		}
-		out[d] = r
-	}
-	return out, nil
 }
 
 // NormalizedTime returns each defense's execution-time slowdown relative to

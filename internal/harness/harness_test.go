@@ -1,12 +1,65 @@
 package harness_test
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"invisispec/internal/campaign"
 	"invisispec/internal/config"
+	"invisispec/internal/engine"
 	"invisispec/internal/harness"
+	"invisispec/internal/runner"
 	"invisispec/internal/stats"
 )
+
+// Sweep runs one workload under every registered defense scheme for a
+// consistency model and returns results keyed by defense. It is the serial
+// test oracle: one measurement at a time, in defense order, on the calling
+// goroutine, with no pool, journal or campaign in the way.
+func Sweep(name string, cm config.Consistency, warmup, measure uint64) (map[config.Defense]harness.Result, error) {
+	out := make(map[config.Defense]harness.Result, len(config.AllDefenses()))
+	for _, d := range config.AllDefenses() {
+		r, err := harness.MeasureWorkload(name, d, cm, warmup, measure)
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", name, d, err)
+		}
+		out[d] = r
+	}
+	return out, nil
+}
+
+// TestSweepMatchesSerialSweep pins the production fan-out to the serial
+// oracle: the same matrix through campaign.Run at 4 workers must aggregate
+// to exactly what Sweep computes.
+func TestSweepMatchesSerialSweep(t *testing.T) {
+	want, err := Sweep("sjeng", config.TSO, 2000, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := runner.Matrix([]string{"sjeng"}, false, []config.Consistency{config.TSO},
+		config.AllDefenses(), nil, 2000, 4000)
+	outcomes, err := campaign.Run(context.Background(), "serial-oracle",
+		campaign.JobCells(jobs, engine.KernelFast, 0), campaign.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := campaign.JobResults(jobs, outcomes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[config.Defense]harness.Result, len(results))
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		got[r.Job.Defense] = r.Result
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("4-worker campaign matrix disagrees with the serial Sweep")
+	}
+}
 
 func TestMeasureDeltasExcludeWarmup(t *testing.T) {
 	r, err := harness.MeasureSPEC("hmmer", config.Base, config.TSO, 5000, 10000)
@@ -30,7 +83,7 @@ func TestMeasureDeltasExcludeWarmup(t *testing.T) {
 func TestSweepShape(t *testing.T) {
 	// The paper's headline ordering on a single kernel: Base is fastest;
 	// InvisiSpec beats the corresponding fence design.
-	res, err := harness.Sweep("sjeng", false, config.TSO, 5000, 15000)
+	res, err := Sweep("sjeng", config.TSO, 5000, 15000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +101,7 @@ func TestSweepShape(t *testing.T) {
 	}
 	// Traffic shape on a memory-intensive kernel: InvisiSpec produces
 	// Spec-GetS and expose/validate traffic above the baseline.
-	mres, err := harness.Sweep("libquantum", false, config.TSO, 5000, 15000)
+	mres, err := Sweep("libquantum", config.TSO, 5000, 15000)
 	if err != nil {
 		t.Fatal(err)
 	}

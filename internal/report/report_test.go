@@ -2,6 +2,7 @@ package report
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -80,28 +81,90 @@ func TestRenderJobBench(t *testing.T) {
 	}
 }
 
-func TestLoadHistoryAndRenderTrends(t *testing.T) {
-	hist, err := LoadHistory("../..")
+// writeHistory writes one BENCH_<file>.json artifact per entry of avgs into
+// dir: a single TSO workload whose per-defense normalized times are the
+// given values, so each artifact's averages are known exactly.
+func writeHistory(t *testing.T, dir string, avgs map[string][2]float64) {
+	t.Helper()
+	for file, v := range avgs {
+		b := &runner.Bench{Schema: runner.BenchSchema, Name: file, Runs: []runner.BenchRun{
+			{Workload: "sjeng", Defense: "Base", Consistency: "TSO", NormalizedTime: v[0]},
+			{Workload: "sjeng", Defense: "IS-Fu", Consistency: "TSO", NormalizedTime: v[1]},
+			{Workload: "sjeng", Defense: "IS-Fu", Consistency: "RC", NormalizedTime: 9},
+		}}
+		f, err := os.Create(filepath.Join(dir, "BENCH_"+file+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := runner.WriteBenchJSON(f, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// renderHistory loads dir's history, checks it against the averages it was
+// written with, and renders the trends page.
+func renderHistory(t *testing.T, dir string, avgs map[string][2]float64) string {
+	t.Helper()
+	hist, err := LoadHistory(dir)
 	if err != nil {
 		t.Fatalf("LoadHistory: %v", err)
 	}
-	if len(hist) == 0 {
-		t.Skip("no committed BENCH_*.json history")
+	if len(hist) != len(avgs) {
+		t.Fatalf("LoadHistory found %d points, want %d", len(hist), len(avgs))
 	}
-	for _, h := range hist {
-		if len(h.Defenses) == 0 || h.Avg[h.Defenses[0]] == 0 {
-			t.Errorf("history point %s has no averages", h.File)
+	for i, h := range hist {
+		if i > 0 && hist[i-1].File >= h.File {
+			t.Errorf("history not sorted by file: %s before %s", hist[i-1].File, h.File)
+		}
+		want := avgs[strings.TrimSuffix(strings.TrimPrefix(h.File, "BENCH_"), ".json")]
+		if len(h.Defenses) != 2 || h.Avg["Base"] != want[0] || h.Avg["IS-Fu"] != want[1] {
+			t.Errorf("history point %s: defenses %v averages %v, want TSO-only %v", h.File, h.Defenses, h.Avg, want)
 		}
 	}
 	var sb strings.Builder
 	if err := RenderTrends(&sb, hist); err != nil {
 		t.Fatalf("RenderTrends: %v", err)
 	}
-	out := sb.String()
-	for _, want := range []string{"<svg", "<polyline", "Table view", "var(--s1)"} {
+	return sb.String()
+}
+
+func TestLoadHistoryAndRenderTrends(t *testing.T) {
+	dir := t.TempDir()
+	avgs := map[string][2]float64{"a": {1, 1.4}, "b": {1, 1.2}, "c": {1, 1.1}}
+	writeHistory(t, dir, avgs)
+	out := renderHistory(t, dir, avgs)
+	for _, want := range []string{"<svg", "<polyline", "<circle", "Table view", "var(--s1)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trends page missing %q", want)
 		}
+	}
+	// One line per defense series, one marker per (series, point).
+	if n := strings.Count(out, "<polyline"); n != 2 {
+		t.Errorf("trends page draws %d polylines, want 2", n)
+	}
+	if n := strings.Count(out, "<circle"); n != 6 {
+		t.Errorf("trends page draws %d markers, want 6", n)
+	}
+}
+
+// A single artifact has nothing to connect: markers, no lines.
+func TestRenderTrendsSinglePoint(t *testing.T) {
+	dir := t.TempDir()
+	avgs := map[string][2]float64{"only": {1, 1.3}}
+	writeHistory(t, dir, avgs)
+	out := renderHistory(t, dir, avgs)
+	if !strings.Contains(out, "<svg") {
+		t.Error("trends page missing its chart")
+	}
+	if n := strings.Count(out, "<circle"); n != 2 {
+		t.Errorf("single-point chart draws %d markers, want 2", n)
+	}
+	if strings.Contains(out, "<polyline") {
+		t.Error("single-point chart draws a line")
 	}
 }
 

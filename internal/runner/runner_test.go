@@ -2,9 +2,6 @@ package runner
 
 import (
 	"bytes"
-	"context"
-	"errors"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,67 +11,22 @@ import (
 	"invisispec/internal/harness"
 )
 
-// testMatrix is a small but real matrix: 2 SPEC kernels x TSO x every
-// registered defense.
-func testMatrix() []Job {
-	return Matrix([]string{"sjeng", "libquantum"}, false,
+// measureMatrix measures a small but real matrix serially — 2 SPEC kernels
+// x TSO x every registered defense — for the bench-schema tests. The
+// parallel path over the same matrix is campaign.RunBench, tested there.
+func measureMatrix(t *testing.T) []JobResult {
+	t.Helper()
+	jobs := Matrix([]string{"sjeng", "libquantum"}, false,
 		[]config.Consistency{config.TSO}, config.AllDefenses(), nil, 2000, 4000)
-}
-
-// stripHost zeroes the one intentionally nondeterministic field so result
-// slices can be compared across worker counts.
-func stripHost(results []JobResult) []JobResult {
-	out := make([]JobResult, len(results))
-	copy(out, results)
-	for i := range out {
-		out[i].HostNS = 0
+	results := make([]JobResult, len(jobs))
+	for i, j := range jobs {
+		res, err := harness.MeasureWorkload(j.Workload, j.Defense, j.Consistency, j.Warmup, j.Measure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = JobResult{Job: j, Index: i, Result: res}
 	}
-	return out
-}
-
-// TestRunnerDeterminism is the acceptance gate: a 4-worker sweep produces
-// byte-identical aggregated results — including the BENCH_*.json artifact
-// bytes — to a 1-worker sweep over the same matrix, even though the 4-worker
-// completion order is scheduler-dependent.
-func TestRunnerDeterminism(t *testing.T) {
-	jobs := testMatrix()
-	serial := Run(context.Background(), jobs, Options{Jobs: 1})
-	parallel := Run(context.Background(), jobs, Options{Jobs: 4})
-	if err := FirstError(serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := FirstError(parallel); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripHost(serial), stripHost(parallel)) {
-		t.Fatal("4-worker results differ from 1-worker results")
-	}
-	var bs, bp bytes.Buffer
-	if err := WriteBenchJSON(&bs, NewBench("determinism", 2000, 4000, serial)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBenchJSON(&bp, NewBench("determinism", 2000, 4000, parallel)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bs.Bytes(), bp.Bytes()) {
-		t.Fatalf("bench JSON differs between 1-worker and 4-worker runs:\n--- serial ---\n%s\n--- parallel ---\n%s", bs.Bytes(), bp.Bytes())
-	}
-}
-
-// TestSweepMatchesSerialSweep pins the rewiring: runner.Sweep must aggregate
-// to exactly what the serial reference harness.Sweep computes.
-func TestSweepMatchesSerialSweep(t *testing.T) {
-	want, err := harness.Sweep("sjeng", false, config.TSO, 2000, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Sweep(context.Background(), "sjeng", false, config.TSO, 2000, 4000, Options{Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("parallel Sweep disagrees with serial harness.Sweep")
-	}
+	return results
 }
 
 // waitForGoroutines polls until the goroutine count drops back to at most
@@ -96,105 +48,10 @@ func waitForGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestRunnerCancellationNoLeaks cancels mid-sweep and asserts (a) every job
-// slot reports a deterministic outcome, (b) all pool goroutines exit.
-func TestRunnerCancellationNoLeaks(t *testing.T) {
-	base := runtime.NumGoroutine()
-	jobs := make([]Job, 32)
-	for i := range jobs {
-		jobs[i] = Job{Workload: "sjeng", Defense: config.Base, Consistency: config.TSO,
-			Warmup: 2000, Measure: 4000}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{}, len(jobs))
-	opts := Options{
-		Jobs: 4,
-		measure: func(ctx context.Context, j Job, extra []harness.Option) (harness.Result, error) {
-			started <- struct{}{}
-			<-ctx.Done() // a job that only finishes when cancelled
-			return harness.Result{}, ctx.Err()
-		},
-	}
-	go func() {
-		<-started // at least one job is in flight
-		cancel()
-	}()
-	results := Run(ctx, jobs, opts)
-	cancel()
-	canceled := 0
-	for _, r := range results {
-		if r.Err == nil {
-			t.Fatalf("job %d reported success after cancellation", r.Index)
-		}
-		if errors.Is(r.Err, context.Canceled) {
-			canceled++
-		}
-	}
-	if canceled != len(jobs) {
-		t.Fatalf("%d/%d jobs report context.Canceled", canceled, len(jobs))
-	}
-	waitForGoroutines(t, base)
-}
-
-// TestRunnerPanicIsolation seeds a panic into one job and asserts it is
-// reported as that job's error while the rest of the matrix completes.
-func TestRunnerPanicIsolation(t *testing.T) {
-	jobs := testMatrix()
-	victim := 3
-	opts := Options{
-		Jobs: 4,
-		measure: func(ctx context.Context, j Job, extra []harness.Option) (harness.Result, error) {
-			if j == jobs[victim] {
-				panic("seeded test panic")
-			}
-			return measureJob(ctx, j, extra)
-		},
-	}
-	results := Run(context.Background(), jobs, opts)
-	for _, r := range results {
-		if r.Index == victim {
-			if r.Err == nil || !strings.Contains(r.Err.Error(), "seeded test panic") {
-				t.Fatalf("victim job error = %v, want seeded panic", r.Err)
-			}
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("job %d failed alongside the panicking job: %v", r.Index, r.Err)
-		}
-		if r.Result.Instructions == 0 {
-			t.Fatalf("job %d produced an empty measurement", r.Index)
-		}
-	}
-}
-
-// TestRunnerTimeout drives the production path: a vanishingly small per-job
-// wall-clock budget must surface as that job's DeadlineExceeded error from
-// inside the simulation loop, on the worker's own stack.
-func TestRunnerTimeout(t *testing.T) {
-	base := runtime.NumGoroutine()
-	jobs := []Job{
-		{Workload: "sjeng", Defense: config.Base, Consistency: config.TSO,
-			Warmup: 2000, Measure: 4000, Timeout: time.Nanosecond},
-		{Workload: "sjeng", Defense: config.Base, Consistency: config.TSO,
-			Warmup: 2000, Measure: 4000},
-	}
-	results := Run(context.Background(), jobs, Options{Jobs: 2})
-	if !errors.Is(results[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("timed-out job error = %v, want DeadlineExceeded", results[0].Err)
-	}
-	if results[1].Err != nil {
-		t.Fatalf("untimed job failed: %v", results[1].Err)
-	}
-	waitForGoroutines(t, base)
-}
-
 // TestBenchJSONRoundTrip checks schema validation and the normalized-time
 // grouping.
 func TestBenchJSONRoundTrip(t *testing.T) {
-	results := Run(context.Background(), testMatrix(), Options{Jobs: 4})
-	if err := FirstError(results); err != nil {
-		t.Fatal(err)
-	}
+	results := measureMatrix(t)
 	b := NewBench("roundtrip", 2000, 4000, results).WithHost(time.Second, 4, results)
 	var buf bytes.Buffer
 	if err := WriteBenchJSON(&buf, b); err != nil {

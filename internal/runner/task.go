@@ -1,13 +1,11 @@
 package runner
 
-// This file generalizes the worker pool beyond the harness.Measure job
-// matrix: a Task is an arbitrary unit of work identified by name, and
-// RunTasks shards a slice of them across the same bounded pool with the
-// same guarantees Run gives jobs — index-addressed deterministic
-// aggregation, per-task wall-clock timeouts enforced through the task's
-// context, panic isolation, and fail-fast-free cancellation. Run is now a
-// thin adapter over RunTasks; the leakage scanner (internal/leakage) is the
-// second client.
+// This file is the worker pool: a Task is an arbitrary unit of work
+// identified by name, and RunTasks shards a slice of them across a bounded
+// pool with index-addressed deterministic aggregation, per-task wall-clock
+// timeouts enforced through the task's context, panic isolation, and
+// fail-fast-free cancellation. internal/campaign is its client for every
+// bench, leakage and conformance matrix.
 
 import (
 	"context"
@@ -70,7 +68,7 @@ func RunTasks(ctx context.Context, tasks []Task, opts Options) []TaskResult {
 			for i := range queue {
 				r := &results[i]
 				start := time.Now()
-				r.Value, r.Err = runOneTask(ctx, tasks[i], opts)
+				r.Value, r.Err = runOneTask(ctx, tasks[i])
 				r.HostNS = time.Since(start).Nanoseconds()
 				prog.done(tasks[i].Name, r.Err)
 			}
@@ -96,14 +94,10 @@ feed:
 
 // runOneTask executes a single task with its timeout applied and panics
 // converted to errors.
-func runOneTask(ctx context.Context, t Task, opts Options) (v any, err error) {
-	timeout := t.Timeout
-	if timeout == 0 {
-		timeout = opts.Timeout
-	}
-	if timeout > 0 {
+func runOneTask(ctx context.Context, t Task) (v any, err error) {
+	if t.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, t.Timeout)
 		defer cancel()
 	}
 	defer func() {

@@ -5,11 +5,10 @@ package serve
 // server's memoized campaign Exec hook, so all three job types share the
 // content-addressed cache and the global compute-slot pool.
 //
-// The sweep executor replicates cmd/benchtable's artifact assembly exactly
-// — same matrix order, same campaign cells under the same kernel, same
-// bench-JSON writer, no host block — which is what makes an HTTP-fetched
-// sweep artifact byte-identical to `benchtable -benchjson -benchhost=false`
-// over the same matrix.
+// The sweep executor assembles its artifact with campaign.RunBench, the
+// same function cmd/benchtable uses, and writes it without a host block —
+// which is what makes an HTTP-fetched sweep artifact byte-identical to
+// `benchtable -benchjson -benchhost=false` over the same matrix.
 
 import (
 	"bytes"
@@ -279,9 +278,9 @@ func interruption(outcomes []campaign.Outcome) error {
 	return nil
 }
 
-// runSweep executes a bench matrix and assembles the bench-JSON artifact,
-// byte-identically to cmd/benchtable's -benchjson path (same matrix order,
-// same kernel, no host block).
+// runSweep executes a bench matrix through campaign.RunBench and writes the
+// bench-JSON artifact without a host block, byte-identically to
+// cmd/benchtable's -benchjson -benchhost=false path.
 func (s *Server) runSweep(ctx context.Context, job *Job) (art, verdict []byte, err error) {
 	req := job.Req
 	defs, _ := parseDefenseList(req.Defenses)
@@ -297,28 +296,24 @@ func (s *Server) runSweep(ctx context.Context, job *Job) (art, verdict []byte, e
 		return nil, nil, err
 	}
 	jobs := runner.Matrix(req.Workloads, req.Parsec, cms, defs, req.Seeds, req.Warmup, req.Measure)
-	cells := campaign.JobCells(jobs, kernel, 0)
-	s.setTotal(job, len(cells))
-	outcomes, err := campaign.Run(ctx, "simserver-"+job.ID, cells, s.campaignOpts(job))
+	s.setTotal(job, len(jobs))
+	b, _, outcomes, err := campaign.RunBench(ctx, campaign.BenchSweep{
+		Campaign: "simserver-" + job.ID,
+		Name:     req.Name, Warmup: req.Warmup, Measure: req.Measure,
+		Jobs: jobs, Kernel: kernel,
+	}, s.campaignOpts(job))
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := interruption(outcomes); err != nil {
 		return nil, nil, err
 	}
-	results, err := campaign.JobResults(jobs, outcomes)
-	if err != nil {
-		return nil, nil, err
-	}
-	degraded := campaign.Degraded(outcomes, nil)
-	b := runner.NewBench(req.Name, req.Warmup, req.Measure, results)
-	b.Degraded = degraded
 	var buf bytes.Buffer
 	if err := runner.WriteBenchJSON(&buf, b); err != nil {
 		return nil, nil, err
 	}
 	s.mu.Lock()
-	job.degraded = len(degraded)
+	job.degraded = len(b.Degraded)
 	s.mu.Unlock()
 	verdict = s.sweepVerdict(b)
 	return buf.Bytes(), verdict, nil

@@ -1,8 +1,8 @@
-// Trace format v2 ("ispectr2"): a self-contained, replayable trace. Where
-// v1 carries only a committed-event stream, v2 adds the full program image
-// per core — instructions, entry/handler, InitMem windows, and basic-block
-// metadata — so a decoded trace reconstructs an isa.Program-equivalent
-// drive for the OoO core. Encoding is canonical (one byte sequence per
+// Trace format v2 ("ispectr2"): a self-contained, replayable trace. Each
+// core carries its full program image — instructions, entry/handler,
+// InitMem windows, and basic-block metadata — next to its committed-event
+// stream, so a decoded trace reconstructs an isa.Program-equivalent drive
+// for the OoO core. Encoding is canonical (one byte sequence per
 // trace value), which is what makes byte-identical replay-of-replay a
 // checkable import invariant rather than a hope.
 //
@@ -31,9 +31,10 @@
 //	      per InitMem chunk: addr uvarint, length uvarint, raw bytes
 //	    events:
 //	      nevents  uvarint
-//	      per event: the v1 record encoding (cycle delta uvarint — reset
-//	                 per core — pc uvarint, op byte, flags byte, and if
-//	                 flagWroteReg: reg byte + value uvarint)
+//	      per event: cycle delta uvarint (the accumulator resets per
+//	                 core), pc uvarint, op byte, flags byte (bit0
+//	                 flagWroteReg, bit1 flagFault), and if flagWroteReg:
+//	                 reg byte + value uvarint
 //	trailer  4 bytes little-endian CRC-32 (IEEE) over the body
 //
 // Program labels are NOT serialised: the encoder materialises BlockLen
@@ -67,9 +68,7 @@ const (
 var ErrBadCRC = errors.New("trace: checksum mismatch")
 
 // Trace is a decoded (or to-be-encoded) replayable trace: one program and
-// one committed-event stream per core. Programs is nil for legacy v1
-// streams, which carry events only and therefore cannot be imported as
-// workloads (only diffed).
+// one committed-event stream per core.
 type Trace struct {
 	Name     string
 	Programs []*isa.Program
@@ -82,9 +81,6 @@ type Trace struct {
 // represent that, so a violating in-memory trace must be rejected before
 // it is mangled into a different trace on disk).
 func (t *Trace) Validate() error {
-	if t.Programs == nil {
-		return errors.New("trace: no programs (v1 streams are not replayable; re-record as v2)")
-	}
 	if len(t.Programs) == 0 {
 		return errors.New("trace: zero cores")
 	}
@@ -203,10 +199,8 @@ func encodeProgram(w *bytes.Buffer, p *isa.Program) {
 	}
 }
 
-// Decode reads a trace from r, accepting both formats: v2 streams decode
-// fully (programs + events, CRC-verified), v1 streams decode as a
-// single-core event-only trace (Programs nil) so old recordings remain
-// diffable.
+// Decode reads a v2 trace from r: CRC-verified, then programs and events.
+// Any other magic, the retired version-1 one included, is ErrBadMagic.
 func Decode(r io.Reader) (*Trace, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -220,16 +214,7 @@ func DecodeBytes(raw []byte) (*Trace, error) {
 	if len(raw) < 8 {
 		return nil, ErrBadMagic
 	}
-	var got [8]byte
-	copy(got[:], raw[:8])
-	if got == magic {
-		evs, err := ReadAll(bytes.NewReader(raw))
-		if err != nil {
-			return nil, err
-		}
-		return &Trace{Events: [][]Event{evs}}, nil
-	}
-	if got != magic2 {
+	if !bytes.Equal(raw[:8], magic2[:]) {
 		return nil, ErrBadMagic
 	}
 	if len(raw) < 8+4 {
@@ -285,7 +270,7 @@ func WriteFile(path string, t *Trace) error {
 	return os.WriteFile(path, raw, 0o644)
 }
 
-// ReadFile decodes the trace at path (either format).
+// ReadFile decodes the trace at path.
 func ReadFile(path string) (*Trace, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {

@@ -1,7 +1,7 @@
 package trace_test
 
 // ispectr2 format tests: canonical-encoding round trips, corruption
-// rejection, v1 backward compatibility, and the record -> replay ->
+// rejection, and the record -> replay ->
 // re-record fixed-point property across the full defense x consistency x
 // kernel matrix.
 
@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"invisispec/internal/config"
-	"invisispec/internal/core"
 	"invisispec/internal/engine"
 	"invisispec/internal/harness"
 	"invisispec/internal/isa"
@@ -66,7 +65,7 @@ func TestValidateRejections(t *testing.T) {
 		label string
 		t     *trace.Trace
 	}{
-		{"no programs (v1)", &trace.Trace{Events: [][]trace.Event{{}}}},
+		{"no programs", &trace.Trace{Events: [][]trace.Event{{}}}},
 		{"zero cores", &trace.Trace{Programs: []*isa.Program{}, Events: [][]trace.Event{}}},
 		{"core-count mismatch", &trace.Trace{Programs: []*isa.Program{prog}, Events: [][]trace.Event{{}, {}}}},
 		{"backwards clock", &trace.Trace{
@@ -104,47 +103,6 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := trace.DecodeBytes([]byte("xxxxxxxxxxxxxxxx")); !errors.Is(err, trace.ErrBadMagic) {
 		t.Errorf("wrong magic: err = %v, want ErrBadMagic", err)
-	}
-}
-
-// Legacy v1 streams stay readable through the unified decoder: events only,
-// Programs nil, so they can be diffed but never imported as workloads.
-func TestV1BackwardCompatRead(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := []core.CommitEvent{
-		{Cycle: 7, PC: 1, Inst: isa.Inst{Op: isa.OpAdd, Rd: 2}, WroteReg: true, Reg: 2, RegValue: 99},
-		{Cycle: 9, PC: 2, Inst: isa.Inst{Op: isa.OpLoad}, Fault: true},
-	}
-	for _, ev := range in {
-		w.Append(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := trace.DecodeBytes(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Programs != nil {
-		t.Error("v1 stream decoded with programs")
-	}
-	if len(dec.Events) != 1 || len(dec.Events[0]) != len(in) {
-		t.Fatalf("v1 stream decoded to %d core(s)", len(dec.Events))
-	}
-	for i, ev := range in {
-		got := dec.Events[0][i]
-		if got.Cycle != ev.Cycle || got.PC != ev.PC || got.Op != ev.Inst.Op ||
-			got.Fault != ev.Fault || got.WroteReg != ev.WroteReg ||
-			got.Reg != ev.Reg || got.RegValue != ev.RegValue {
-			t.Errorf("event %d: %+v != %+v", i, got, ev)
-		}
-	}
-	if err := dec.Validate(); err == nil {
-		t.Error("v1 decode passed Validate (must be rejected for replay)")
 	}
 }
 

@@ -1,38 +1,49 @@
 package trace_test
 
 import (
-	"bytes"
-	"io"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"invisispec/internal/config"
 	"invisispec/internal/core"
+	"invisispec/internal/harness"
 	"invisispec/internal/isa"
-	"invisispec/internal/sim"
 	"invisispec/internal/trace"
 	"invisispec/internal/workload"
 )
 
-func roundTrip(t *testing.T, evs []core.CommitEvent) []trace.Event {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+// nopProgram is the smallest replayable program: the event streams below
+// are format inputs, not architectural claims, so any program will do.
+var nopProgram = &isa.Program{Name: "nop", Insts: []isa.Inst{{Op: isa.OpNop}}}
+
+// roundTrip encodes commit events as a single-core trace and decodes them
+// back through the one codec.
+func roundTrip(evs []core.CommitEvent) ([]trace.Event, error) {
+	in := &trace.Trace{Name: "roundtrip", Programs: []*isa.Program{nopProgram}, Events: [][]trace.Event{nil}}
 	for _, ev := range evs {
-		w.Append(ev)
+		in.Events[0] = append(in.Events[0], trace.FromCommit(ev))
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := trace.ReadAll(&buf)
+	raw, err := trace.EncodeBytes(in)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return out
+	out, err := trace.DecodeBytes(raw)
+	if err != nil {
+		return nil, err
+	}
+	return out.Events[0], nil
+}
+
+// sameEvent reports whether a decoded record carries the commit's fields.
+func sameEvent(got trace.Event, ev core.CommitEvent) bool {
+	return got.Cycle == ev.Cycle && got.PC == ev.PC && got.Op == ev.Inst.Op &&
+		got.Fault == ev.Fault && got.WroteReg == ev.WroteReg &&
+		got.Reg == ev.Reg && got.RegValue == ev.RegValue
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -42,39 +53,57 @@ func TestRoundTrip(t *testing.T) {
 		{Cycle: 12, Seq: 2, PC: 2, Inst: isa.Inst{Op: isa.OpLoad}, Fault: true},
 		{Cycle: 99, Seq: 3, PC: 7, Inst: isa.Inst{Op: isa.OpAdd, Rd: 1}, WroteReg: true, Reg: 1, RegValue: ^uint64(0)},
 	}
-	out := roundTrip(t, in)
+	out, err := roundTrip(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out) != len(in) {
 		t.Fatalf("decoded %d events, want %d", len(out), len(in))
 	}
 	for i, ev := range in {
-		got := out[i]
-		if got.Cycle != ev.Cycle || got.PC != ev.PC || got.Op != ev.Inst.Op ||
-			got.Fault != ev.Fault || got.WroteReg != ev.WroteReg ||
-			got.Reg != ev.Reg || got.RegValue != ev.RegValue {
-			t.Fatalf("event %d: %+v != %+v", i, got, ev)
+		if !sameEvent(out[i], ev) {
+			t.Fatalf("event %d: %+v != %+v", i, out[i], ev)
 		}
 	}
 }
 
+// Anything but the ispectr2 magic is rejected before parsing.
 func TestBadMagic(t *testing.T) {
-	if _, err := trace.NewReader(bytes.NewReader([]byte("not a trace!"))); err != trace.ErrBadMagic {
+	if _, err := trace.DecodeBytes([]byte("not a trace!")); !errors.Is(err, trace.ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }
 
-func TestTruncatedStream(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := trace.NewWriter(&buf)
-	w.Append(core.CommitEvent{Cycle: 5, PC: 3, Inst: isa.Inst{Op: isa.OpAdd, Rd: 1}, WroteReg: true, Reg: 1, RegValue: 1 << 40})
-	w.Flush()
-	full := buf.Bytes()
-	// Chop mid-record: must error (not io.EOF) somewhere.
-	r, err := trace.NewReader(bytes.NewReader(full[:len(full)-2]))
+// The retired version-1 event-only format is no longer read: a stream
+// carrying its magic fails the magic check like any foreign input.
+func TestV1BackwardCompatRead(t *testing.T) {
+	tr, _ := trace.RecordInterp("magic", workload.MustSPEC("hmmer"), 50)
+	v1, err := trace.EncodeBytes(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err == nil || err == io.EOF {
-		t.Fatalf("truncated record: err = %v, want decode error", err)
+	v1[7] = '1' // the version-1 magic
+	if _, err := trace.DecodeBytes(v1); !errors.Is(err, trace.ErrBadMagic) {
+		t.Fatalf("err = %v, want ErrBadMagic", err)
+	}
+}
+
+// A stream cut mid-record must fail in the record parser, not decode to a
+// shorter trace. The CRC is recomputed over the cut body so the checksum
+// cannot be what catches it.
+func TestTruncatedStream(t *testing.T) {
+	tr := &trace.Trace{Name: "cut", Programs: []*isa.Program{nopProgram}, Events: [][]trace.Event{{
+		trace.FromCommit(core.CommitEvent{Cycle: 5, PC: 3, Inst: isa.Inst{Op: isa.OpAdd, Rd: 1}, WroteReg: true, Reg: 1, RegValue: 1 << 40}),
+	}}}
+	raw, err := trace.EncodeBytes(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := raw[8 : len(raw)-4-2] // drop the value varint's last two bytes
+	cut := append(append([]byte(nil), raw[:8]...), body...)
+	cut = binary.LittleEndian.AppendUint32(cut, crc32.ChecksumIEEE(body))
+	if _, err := trace.DecodeBytes(cut); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("truncated record: err = %v, want a truncation error", err)
 	}
 }
 
@@ -105,46 +134,30 @@ func TestDiff(t *testing.T) {
 }
 
 // Every defense must commit the same architectural stream for the same
-// program: record every registered scheme and diff them pairwise.
+// program: record every registered scheme and diff each against Base.
 func TestAllDefensesCommitIdenticalStreams(t *testing.T) {
 	prog := workload.MustSPEC("hmmer")
+	const n = 3000
 	record := func(d config.Defense) []trace.Event {
 		r := config.Run{Machine: config.Default(1), Defense: d, Consistency: config.TSO}
-		m := sim.MustNew(r, []*isa.Program{prog})
-		var buf bytes.Buffer
-		w, err := trace.NewWriter(&buf)
+		tr, err := harness.Record(r, "hmmer", []*isa.Program{prog}, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Cores[0].SetTracer(w.Tracer())
-		if err := m.RunInstructions(3000, 3_000_000); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		evs, err := trace.ReadAll(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return evs
+		return tr.Events[0]
 	}
 	ref := record(config.Base)
-	if len(ref) < 3000 {
-		t.Fatalf("reference trace has %d events", len(ref))
+	if len(ref) != n {
+		t.Fatalf("reference trace has %d of %d events", len(ref), n)
 	}
 	for _, d := range config.AllDefenses()[1:] {
-		got := record(d)
-		n := len(ref)
-		if len(got) < n {
-			n = len(got)
-		}
-		if i, why := trace.Diff(ref[:n], got[:n]); i != -1 {
+		if i, why := trace.Diff(ref, record(d)); i != -1 {
 			t.Errorf("%v diverges from Base at commit %d: %s", d, i, why)
 		}
 	}
 }
 
+// Random monotone event streams round-trip through EncodeBytes/DecodeBytes.
 func TestRoundTripQuick(t *testing.T) {
 	f := func(cycles []uint16, pcs []uint16, ops []uint8, vals []uint64) bool {
 		n := len(cycles)
@@ -159,32 +172,22 @@ func TestRoundTripQuick(t *testing.T) {
 			cyc += uint64(cycles[i]) // monotone, as real commits are
 			op := isa.Op(ops[i] % 30)
 			ev := core.CommitEvent{Cycle: cyc, PC: int(pcs[i]), Inst: isa.Inst{Op: op}}
-			if op.HasDest() {
+			switch {
+			case op.HasDest():
 				ev.WroteReg = true
 				ev.Reg = uint8(vals[i] % 32)
 				ev.RegValue = vals[i]
+			case vals[i]%7 == 0:
+				ev.Fault = true
 			}
 			evs = append(evs, ev)
 		}
-		var buf bytes.Buffer
-		w, err := trace.NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		for _, ev := range evs {
-			w.Append(ev)
-		}
-		if w.Flush() != nil || w.Count() != uint64(len(evs)) {
-			return false
-		}
-		out, err := trace.ReadAll(&buf)
+		out, err := roundTrip(evs)
 		if err != nil || len(out) != len(evs) {
 			return false
 		}
 		for i, ev := range evs {
-			g := out[i]
-			if g.Cycle != ev.Cycle || g.PC != ev.PC || g.Op != ev.Inst.Op ||
-				g.WroteReg != ev.WroteReg || g.Reg != ev.Reg || g.RegValue != ev.RegValue {
+			if !sameEvent(out[i], ev) {
 				return false
 			}
 		}

@@ -79,9 +79,6 @@ func LoadTraceFile(path string) (*trace.Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: import %s: %w", path, err)
 	}
-	if t.Programs == nil {
-		return nil, fmt.Errorf("workload: import %s: v1 stream carries no program; re-record as ispectr2", path)
-	}
 	reenc, err := trace.EncodeBytes(t)
 	if err != nil {
 		return nil, fmt.Errorf("workload: import %s: %w", path, err)

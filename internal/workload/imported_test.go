@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"invisispec/internal/core"
 	"invisispec/internal/isa"
 	"invisispec/internal/trace"
 	"invisispec/internal/workload"
@@ -129,6 +128,7 @@ func TestImportRejectsTruncation(t *testing.T) {
 	}
 }
 
+// Anything but the ispectr2 magic fails the structural gate.
 func TestImportRejectsWrongMagic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bogus.trace")
 	if err := os.WriteFile(path, []byte("not a trace at all"), 0o644); err != nil {
@@ -139,26 +139,21 @@ func TestImportRejectsWrongMagic(t *testing.T) {
 	}
 }
 
+// A stream in the retired version-1 event-only format is rejected as a
+// wrong magic, not imported.
 func TestImportRejectsV1Stream(t *testing.T) {
+	tr, _ := trace.RecordInterp("imported-v1-test", workload.MustSPEC("hmmer"), 50)
+	v1, err := trace.EncodeBytes(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1[7] = '1' // the version-1 magic
 	path := filepath.Join(t.TempDir(), "v1.trace")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Append(core.CommitEvent{Cycle: 1, PC: 0, Inst: isa.Inst{Op: isa.OpNop}})
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = workload.LoadTraceFile(path)
-	if err == nil || !strings.Contains(err.Error(), "v1") {
-		t.Fatalf("err = %v, want v1-not-replayable rejection", err)
+	if _, err := workload.LoadTraceFile(path); !errors.Is(err, trace.ErrBadMagic) {
+		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }
 
