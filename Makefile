@@ -10,7 +10,7 @@ JOBS ?= 4
 BIN = bin
 SMOKE_FLAGS = -fig 4 -warmup 5000 -measure 20000 -jobs $(JOBS) -quiet
 
-.PHONY: all build tools test vet lint race check ci bench smoke benchdiff baseline leakscan leaksearch kernelcheck conform chaos serve
+.PHONY: all build tools test vet lint race check ci bench perf smoke benchdiff baseline leakscan leaksearch kernelcheck conform chaos serve
 
 all: build
 
@@ -68,6 +68,13 @@ chaos:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# Per-layer host-time benchmarks: program-image load, cell construction
+# (sim.New), and the cycle loop under both kernels, plus the end-to-end
+# simulator throughput benches. Host time is reported, never gated.
+perf:
+	$(GO) test -run '^$$' -bench 'BenchmarkLoadProgramImage|BenchmarkSimNew|BenchmarkCoreTick|BenchmarkSimulatorSpeed|BenchmarkKernelFastForward' \
+		-benchmem ./internal/isa ./internal/sim .
 
 # Kernel-equivalence gate: the fast-forward scheduler must produce
 # byte-identical fingerprints to the cycle-by-cycle reference stepper across

@@ -256,8 +256,8 @@ func BenchmarkAblations(b *testing.B) {
 // DRAM-latency-bound), where the quiescence-aware scheduler should skip the
 // bulk of simulated cycles. Compare the fast and stepped sub-benchmarks'
 // ns/op directly; the skip%% metric reports the fraction of simulated cycles
-// the fast kernel jumped over. The ISSUE-4 acceptance target is fast ≥ 1.5x
-// faster than stepped here.
+// the fast kernel jumped over. internal/sim's BenchmarkCoreTick splits the
+// same comparison per workload with cell construction outside the timer.
 func BenchmarkKernelFastForward(b *testing.B) {
 	prog := workload.MustSPEC("mcf")
 	run := config.Run{Machine: config.Default(1), Defense: config.Base, Consistency: config.TSO}

@@ -57,9 +57,11 @@ type Core struct {
 
 	now uint64
 
-	// Front end.
+	// Front end. fetchBuf is a window of fetchMem, the fixed backing array
+	// ifetchDone slides it back to before appending.
 	pc            int
 	fetchBuf      []fetchedInst
+	fetchMem      []fetchedInst
 	fetchInFlight bool
 	fetchToken    uint64
 	fetchResumeAt uint64
@@ -72,6 +74,14 @@ type Core struct {
 	robCnt  int
 	rat     [isa.NumRegs]int // architectural reg -> producing ROB slot, or -1
 	regs    [isa.NumRegs]uint64
+	// retVal[s] is the destVal of slot s's most recently retired occupant,
+	// read by consumers whose producer retired (srcValue).
+	retVal []uint64
+	// fencesPending counts ROB entries that are fence-like and not yet
+	// fenceDone; execDue is a lower bound on the execDoneAt of every
+	// stExecuting entry. Both gate per-cycle ROB scans (wake.go).
+	fencesPending int
+	execDue       uint64
 
 	lq     []lqEntry
 	lqHead int
@@ -145,9 +155,13 @@ func New(id int, run config.Run, prog *isa.Program, mem *isa.Memory,
 		bbLeader: prog.BlockLeaders(),
 		pc:       prog.Entry,
 		rob:      make([]robEntry, cfg.ROBEntries),
+		retVal:   make([]uint64, cfg.ROBEntries),
 		lq:       make([]lqEntry, cfg.LQEntries),
 		sq:       make([]sqEntry, cfg.SQEntries),
 	}
+	// ifetchDone stops decoding once the buffer holds 4*FetchWidth entries.
+	c.fetchMem = make([]fetchedInst, 4*cfg.FetchWidth+1)
+	c.fetchBuf = c.fetchMem[:0]
 	for i := range c.rat {
 		c.rat[i] = -1
 	}

@@ -99,7 +99,7 @@ func TestSquashRebuildsRAT(t *testing.T) {
 	c := newTestCore(t, config.Base)
 	// Dispatch three producers of r5 by hand.
 	for i := 0; i < 3; i++ {
-		c.insertEntry(fetchedInst{pc: i, inst: isa.Inst{Op: isa.OpLui, Rd: 5, Imm: int64(i)}})
+		c.insertEntry(&fetchedInst{pc: i, inst: isa.Inst{Op: isa.OpLui, Rd: 5, Imm: int64(i)}})
 	}
 	if c.rat[5] != c.robPhys(2) {
 		t.Fatalf("RAT points at %d, want youngest producer %d", c.rat[5], c.robPhys(2))
@@ -121,9 +121,9 @@ func TestSquashRebuildsRAT(t *testing.T) {
 
 func TestSquashFreesLSQEntries(t *testing.T) {
 	c := newTestCore(t, config.Base)
-	c.insertEntry(fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpLoad, Rd: 1, Rs1: 2, Size: 8}})
-	c.insertEntry(fetchedInst{pc: 1, inst: isa.Inst{Op: isa.OpStore, Rs1: 2, Rs2: 3, Size: 8}})
-	c.insertEntry(fetchedInst{pc: 2, inst: isa.Inst{Op: isa.OpLoad, Rd: 4, Rs1: 2, Size: 8}})
+	c.insertEntry(&fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpLoad, Rd: 1, Rs1: 2, Size: 8}})
+	c.insertEntry(&fetchedInst{pc: 1, inst: isa.Inst{Op: isa.OpStore, Rs1: 2, Rs2: 3, Size: 8}})
+	c.insertEntry(&fetchedInst{pc: 2, inst: isa.Inst{Op: isa.OpLoad, Rd: 4, Rs1: 2, Size: 8}})
 	if c.lqCnt != 2 || c.sqCnt != 1 {
 		t.Fatalf("lq=%d sq=%d", c.lqCnt, c.sqCnt)
 	}
@@ -209,7 +209,7 @@ func TestSquashRestoresBpredFromFetchBuf(t *testing.T) {
 	// Committed history: one real call on the stack.
 	c.bp.PushRAS(42)
 	// A snapshot-less ROB entry (say, the faulting load itself).
-	c.insertEntry(fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpLoad, Rd: 1, Rs1: 2, Size: 8, Priv: true}})
+	c.insertEntry(&fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpLoad, Rd: 1, Rs1: 2, Size: 8, Priv: true}})
 	// Fetch ran ahead: a call in the fetch buffer snapshotted the predictor
 	// and then pushed its return address, exactly as ifetchDone does.
 	snap := c.bp.Snapshot()
@@ -234,7 +234,7 @@ func TestSquashPrefersRobSnapshotOverFetchBuf(t *testing.T) {
 	c.bp.PushRAS(42)
 	robSnap := c.bp.Snapshot()
 	c.bp.PushRAS(100) // speculation by the ROB-resident branch
-	c.insertEntry(fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpCall, Rd: 3, Target: 5},
+	c.insertEntry(&fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpCall, Rd: 3, Target: 5},
 		predTaken: true, predTarget: 5})
 	c.robAt(0).hasSnap = true
 	c.robAt(0).snap = robSnap
@@ -248,5 +248,174 @@ func TestSquashPrefersRobSnapshotOverFetchBuf(t *testing.T) {
 
 	if got := c.bp.PopRAS(); got != 42 {
 		t.Fatalf("RAS top after squash = %d, want 42 from the ROB snapshot", got)
+	}
+}
+
+// smallRun returns a one-core run whose ROB, LQ and SQ are small enough for
+// a short program to recycle every slot many times.
+func smallRun(d config.Defense, m config.Consistency, rob, lq, sq int) config.Run {
+	mc := config.Default(1)
+	mc.ROBEntries, mc.LQEntries, mc.SQEntries = rob, lq, sq
+	return config.Run{Machine: mc, Defense: d, Consistency: m}
+}
+
+// runDirected runs prog alone on a one-core machine one cycle at a time,
+// auditing StructuralCheck after every tick and handing the core to observe,
+// until the core halts and drains. The final registers and the bytes of
+// every data chunk must equal the golden interpreter's.
+func runDirected(t *testing.T, run config.Run, prog *isa.Program, observe func(*Core)) {
+	t.Helper()
+	st := stats.NewMachine(1)
+	mem := isa.NewMemory()
+	mem.LoadProgramImage(prog)
+	hier := memsys.New(run.Machine, st)
+	c := New(0, run, prog, mem, hier, &st.Cores[0])
+	for now := uint64(1); c.PendingWork(); now++ {
+		if now > 2_000_000 {
+			t.Fatalf("%v: no halt after %d cycles\n%s", run, now, DebugDump(c))
+		}
+		hier.Tick(now)
+		c.Tick(now)
+		if err := c.StructuralCheck(); err != nil {
+			t.Fatalf("%v: cycle %d: %v\n%s", run, now, err, DebugDump(c))
+		}
+		if observe != nil {
+			observe(c)
+		}
+	}
+	ref := isa.NewInterp(prog)
+	if err := ref.Run(1_000_000); err != nil {
+		t.Fatalf("interp: %v", err)
+	}
+	for r := range c.regs {
+		if c.regs[r] != ref.Regs[r] {
+			t.Fatalf("%v: r%d = %#x, interpreter has %#x", run, r, c.regs[r], ref.Regs[r])
+		}
+	}
+	for _, ch := range prog.InitMem {
+		if got, want := mem.ReadBytes(ch.Addr, len(ch.Data)), ref.Mem.ReadBytes(ch.Addr, len(ch.Data)); string(got) != string(want) {
+			t.Fatalf("%v: memory at %#x = %x, interpreter has %x", run, ch.Addr, got, want)
+		}
+	}
+}
+
+// TestRetiredProducerSlotRecycled drives the retVal path: a load consumes r5
+// while an older incomplete atomic holds it back. Its producer retires, and
+// the producer's ROB slot is refilled by a wrong-path instruction that also
+// writes r5, squashed by a mispredicted branch, and refilled again by the
+// correct path, all before the load issues. It must still read the retired
+// producer's value (retVal), never a later occupant's destVal.
+func TestRetiredProducerSlotRecycled(t *testing.T) {
+	prog := isa.NewBuilder("recycle").
+		DataU64(0x9000, 0xfeedface).
+		DataU64(0x9100, 0x5ca1ab1e).
+		Li(5, 0x9000). // P: producer of r5
+		Li(1, 0x8000).
+		Li(2, 1).
+		Ld(8, 7, 1, 0x40). // cold miss: r7 = 0 arrives late
+		RMW(8, 3, 1, 2).   // blocks younger memory ops until it performs
+		Label("consumer").
+		Ld(8, 6, 5, 0).    // C: reads r5 through a rename reference to P
+		Beq(7, 0, "skip"). // taken; a cold predictor says not-taken
+		Li(5, 0x9100).     // wrong path: refills P's slot with another r5
+		AddI(9, 9, 1).
+		AddI(9, 9, 1).
+		AddI(9, 9, 1).
+		Label("skip").
+		Li(10, 0xd00d). // correct path: refills P's slot again
+		AddI(11, 10, 1).
+		AddI(12, 11, 1).
+		AddI(13, 12, 1).
+		Ld(8, 14, 5, 0x100). // reads the array through the architectural r5
+		Halt().
+		MustBuild()
+	consumerPC := -1
+	for pc, in := range prog.Insts {
+		if in.Op == isa.OpLoad && in.Rd == 6 {
+			consumerPC = pc
+		}
+	}
+	for _, run := range []config.Run{
+		smallRun(config.Base, config.TSO, 8, 8, 8),
+		smallRun(config.Base, config.RC, 8, 8, 8),
+	} {
+		t.Run(run.String(), func(t *testing.T) {
+			// Phases while the consumer waits on its reference (slot, seq):
+			// 1 = slot refilled, 2 = refill squashed, 3 = refilled again.
+			phase := 0
+			var firstRefill uint64
+			runDirected(t, run, prog, func(c *Core) {
+				var cons *robEntry
+				for i := 0; i < c.robCnt; i++ {
+					if e := c.robAt(i); e.pc == consumerPC && e.st == stDispatched && e.src1Rob != noDep {
+						cons = e
+					}
+				}
+				if cons == nil {
+					return
+				}
+				slot := &c.rob[cons.src1Rob]
+				switch {
+				case phase == 0 && slot.valid && slot.seq != cons.src1Seq:
+					phase, firstRefill = 1, slot.seq
+				case phase == 1 && !slot.valid:
+					phase = 2
+				case phase == 2 && slot.valid && slot.seq > firstRefill:
+					phase = 3
+				}
+			})
+			if phase != 3 {
+				t.Fatalf("scenario not reached: phase %d (want producer slot refilled, squashed, refilled)", phase)
+			}
+		})
+	}
+	// The same program under every defense and model: only the golden
+	// comparison applies, the recycling scenario depends on the timing.
+	for _, d := range config.AllDefenses() {
+		for _, m := range []config.Consistency{config.TSO, config.RC} {
+			runDirected(t, smallRun(d, m, 8, 8, 8), prog, nil)
+		}
+	}
+}
+
+// TestQueueWindowsWrap runs a load/store loop on a machine whose ROB, LQ and
+// SQ sizes are not powers of two, and requires each window [head, head+cnt)
+// to have wrapped across physical index len-1 while the structural audit
+// and the golden comparison hold.
+func TestQueueWindowsWrap(t *testing.T) {
+	b := isa.NewBuilder("wrap")
+	for i := uint64(0); i < 64; i++ {
+		b.DataU64(0xa000+8*i, i*i)
+	}
+	prog := b.
+		Li(1, 0xa000).
+		Li(9, 30).
+		Label("loop").
+		Ld(8, 2, 1, 0).
+		AddI(2, 2, 3).
+		St(8, 1, 0, 2).
+		Ld(8, 3, 1, 8).
+		Add(4, 4, 3).
+		St(8, 1, 8, 4).
+		Ld(8, 5, 1, 0).
+		Xor(6, 6, 5).
+		AddI(1, 1, 16).
+		AddI(9, 9, -1).
+		Bne(9, 0, "loop").
+		Halt().
+		MustBuild()
+	for _, d := range config.AllDefenses() {
+		for _, m := range []config.Consistency{config.TSO, config.RC} {
+			run := smallRun(d, m, 13, 5, 3)
+			var robWrap, lqWrap, sqWrap bool
+			runDirected(t, run, prog, func(c *Core) {
+				robWrap = robWrap || c.robHead+c.robCnt > len(c.rob)
+				lqWrap = lqWrap || c.lqHead+c.lqCnt > len(c.lq)
+				sqWrap = sqWrap || c.sqHead+c.sqCnt > len(c.sq)
+			})
+			if !robWrap || !lqWrap || !sqWrap {
+				t.Fatalf("%v: windows never wrapped: rob=%v lq=%v sq=%v", run, robWrap, lqWrap, sqWrap)
+			}
+		}
 	}
 }

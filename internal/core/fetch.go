@@ -76,6 +76,9 @@ func (c *Core) ifetchDone(r memsys.Response) {
 		return // stale response from before a squash
 	}
 	c.fetchInFlight = false
+	// dispatch consumes from the front of fetchBuf; move the live entries
+	// back to the start of fetchMem so the appends below never reallocate.
+	c.fetchBuf = c.fetchMem[:copy(c.fetchMem, c.fetchBuf)]
 	per := c.instsPerLine()
 	// Floor-align the line start: Go's % truncates toward zero, which for a
 	// negative pc would put lineStart above pc and decode nothing, wedging

@@ -73,7 +73,9 @@ func (c *Core) LastSquash() SquashInfo { return c.lastSquash }
 //   - ROB<->LQ/SQ cross-links agree in both directions;
 //   - under TSO, the write buffer drains FIFO: tokens strictly increase, at
 //     most one entry is in flight, and no performed entry lingers behind the
-//     head (performed heads are popped eagerly).
+//     head (performed heads are popped eagerly);
+//   - the incremental mirrors the per-cycle stages gate on agree with the
+//     ROB they summarize (checkMirrors).
 func (c *Core) StructuralCheck() error {
 	o := c.Occupancy()
 	switch {
@@ -139,7 +141,51 @@ func (c *Core) StructuralCheck() error {
 			return fmt.Errorf("core%d: sq[%d] seq %d -> rob[%d] link broken", c.id, i, e.seq, e.robIdx)
 		}
 	}
+	if err := c.checkMirrors(); err != nil {
+		return err
+	}
 	return c.checkWBFIFO()
+}
+
+// checkMirrors recomputes the incremental ROB state from the window and
+// compares: fencesPending equals the number of incomplete fence-like
+// entries; execDue is at most every executing entry's execDoneAt; and every
+// live rename reference names its producer's slot and seq, or a seq older
+// than the ROB head's (the producer retired and srcValue reads retVal).
+func (c *Core) checkMirrors() error {
+	pending := 0
+	var headSeq uint64
+	if c.robCnt > 0 {
+		headSeq = c.robAt(0).seq
+	}
+	for i := 0; i < c.robCnt; i++ {
+		e := c.robAt(i)
+		if isFenceLike(e) && !e.fenceDone {
+			pending++
+		}
+		if e.st == stExecuting && e.execDoneAt < c.execDue {
+			return fmt.Errorf("core%d: rob[%d] completes at cycle %d, below the exec-due bound %d",
+				c.id, i, e.execDoneAt, c.execDue)
+		}
+		for _, ref := range [2]struct {
+			slot int
+			seq  uint64
+		}{{e.src1Rob, e.src1Seq}, {e.src2Rob, e.src2Seq}} {
+			if ref.slot == noDep {
+				continue
+			}
+			p := &c.rob[ref.slot]
+			if !(p.valid && p.seq == ref.seq) && ref.seq >= headSeq {
+				return fmt.Errorf("core%d: rob[%d] seq %d names producer seq %d in slot %d, which holds seq %d (valid=%v) and is not retired",
+					c.id, i, e.seq, ref.seq, ref.slot, p.seq, p.valid)
+			}
+		}
+	}
+	if pending != c.fencesPending {
+		return fmt.Errorf("core%d: pending-fence count %d, ROB holds %d incomplete fences",
+			c.id, c.fencesPending, pending)
+	}
+	return nil
 }
 
 // checkWBFIFO audits write-buffer ordering. Both models require strictly
@@ -184,3 +230,9 @@ func (c *Core) checkWBFIFO() error {
 // known bugs to prove the forward-progress watchdog fires; nothing in normal
 // operation calls it.
 func (c *Core) InjectRetireStall() { c.retireStalled = true }
+
+// InjectFenceCountSkew corrupts the pending-fence count the fence stage
+// gates on. It exists ONLY for the mutation self-test in internal/invariant,
+// which proves StructuralCheck recomputes the count; nothing in normal
+// operation calls it.
+func (c *Core) InjectFenceCountSkew() { c.fencesPending++ }

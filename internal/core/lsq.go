@@ -88,7 +88,7 @@ type wbEntry struct {
 }
 
 func (c *Core) allocLQ(seq uint64, robIdx int, in isa.Inst) int {
-	phys := (c.lqHead + c.lqCnt) % len(c.lq)
+	phys := ringAdd(c.lqHead, c.lqCnt, len(c.lq))
 	c.lqCnt++
 	c.lq[phys] = lqEntry{
 		valid:     true,
@@ -107,15 +107,15 @@ func (c *Core) allocLQ(seq uint64, robIdx int, in isa.Inst) int {
 }
 
 func (c *Core) allocSQ(seq uint64, robIdx int, in isa.Inst) int {
-	phys := (c.sqHead + c.sqCnt) % len(c.sq)
+	phys := ringAdd(c.sqHead, c.sqCnt, len(c.sq))
 	c.sqCnt++
 	c.sq[phys] = sqEntry{valid: true, seq: seq, robIdx: robIdx, size: in.Size}
 	return phys
 }
 
-func (c *Core) lqAt(i int) *lqEntry { return &c.lq[(c.lqHead+i)%len(c.lq)] }
-func (c *Core) lqPhys(i int) int    { return (c.lqHead + i) % len(c.lq) }
-func (c *Core) sqAt(i int) *sqEntry { return &c.sq[(c.sqHead+i)%len(c.sq)] }
+func (c *Core) lqAt(i int) *lqEntry { return &c.lq[ringAdd(c.lqHead, i, len(c.lq))] }
+func (c *Core) lqPhys(i int) int    { return ringAdd(c.lqHead, i, len(c.lq)) }
+func (c *Core) sqAt(i int) *sqEntry { return &c.sq[ringAdd(c.sqHead, i, len(c.sq))] }
 
 func overlaps(a1 uint64, s1 uint8, a2 uint64, s2 uint8) bool {
 	return a1 < a2+uint64(s2) && a2 < a1+uint64(s1)

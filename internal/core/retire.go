@@ -108,24 +108,14 @@ func (c *Core) commitDest(e *robEntry) {
 	}
 }
 
+// popHead releases the retiring head slot. Its value moves to retVal, where
+// consumers still holding a rename reference to it read it (srcValue) once
+// the slot is recycled.
 func (c *Core) popHead() {
-	// Materialize the retiring producer's value into any consumer still
-	// holding a rename reference: the slot is about to be recycled.
 	head := c.robHead
-	val := c.rob[head].destVal
-	for i := 1; i < c.robCnt; i++ {
-		e := c.robAt(i)
-		if e.src1Rob == head {
-			e.src1Rob = noDep
-			e.src1Val = val
-		}
-		if e.src2Rob == head {
-			e.src2Rob = noDep
-			e.src2Val = val
-		}
-	}
+	c.retVal[head] = c.rob[head].destVal
 	c.rob[head].valid = false
-	c.robHead = (c.robHead + 1) % len(c.rob)
+	c.robHead = ringAdd(head, 1, len(c.rob))
 	c.robCnt--
 }
 
@@ -138,7 +128,7 @@ func (c *Core) freeHeadLQ(e *robEntry) {
 	if e.lqIdx != c.lqHead {
 		panic("core: retiring load is not the LQ head")
 	}
-	c.lqHead = (c.lqHead + 1) % len(c.lq)
+	c.lqHead = ringAdd(c.lqHead, 1, len(c.lq))
 	c.lqCnt--
 }
 
@@ -148,6 +138,6 @@ func (c *Core) freeHeadSQ(e *robEntry) {
 	if e.sqIdx != c.sqHead {
 		panic("core: retiring store is not the SQ head")
 	}
-	c.sqHead = (c.sqHead + 1) % len(c.sq)
+	c.sqHead = ringAdd(c.sqHead, 1, len(c.sq))
 	c.sqCnt--
 }

@@ -31,9 +31,13 @@ type robEntry struct {
 	execDoneAt uint64
 
 	// Operand capture: srcNRob is the producing ROB slot or noDep when the
-	// value is already in srcNVal.
+	// value is already in srcNVal. srcNSeq is the producer's seq: once the
+	// slot holds a different seq the producer has retired and its value is
+	// in Core.retVal[srcNRob] (see srcValue).
 	src1Rob int
 	src2Rob int
+	src1Seq uint64
+	src2Seq uint64
 	src1Val uint64
 	src2Val uint64
 	destVal uint64
@@ -80,15 +84,26 @@ func needsSrc2(op isa.Op) bool {
 	return false
 }
 
+// ringAdd returns (base+i) mod n for base in [0,n) and i in [0,n]: every
+// ring index in the core (ROB, LQ, SQ positions and head advances) stays
+// within one lap, so a conditional subtract replaces the hardware divide.
+func ringAdd(base, i, n int) int {
+	p := base + i
+	if p >= n {
+		p -= n
+	}
+	return p
+}
+
 // robAt returns the entry at logical position i (0 = oldest).
 func (c *Core) robAt(i int) *robEntry {
-	return &c.rob[(c.robHead+i)%len(c.rob)]
+	return &c.rob[ringAdd(c.robHead, i, len(c.rob))]
 }
 
 // robPhys returns the physical index of logical position i.
-func (c *Core) robPhys(i int) int { return (c.robHead + i) % len(c.rob) }
+func (c *Core) robPhys(i int) int { return ringAdd(c.robHead, i, len(c.rob)) }
 
-// robLogical returns the logical position of a physical slot (O(ROB)).
+// robLogical returns the logical position of a physical slot.
 func (c *Core) robLogical(phys int) int {
 	l := phys - c.robHead
 	if l < 0 {
@@ -107,7 +122,7 @@ func (c *Core) dispatch() {
 		if c.haltSeen {
 			return
 		}
-		fi := c.fetchBuf[0]
+		fi := &c.fetchBuf[0]
 		op := fi.inst.Op
 		// The scheme may refuse to dispatch past a basic-block boundary
 		// while older control flow is unresolved. The stall is transient:
@@ -135,7 +150,7 @@ func (c *Core) dispatch() {
 			return
 		}
 		if fenceBefore {
-			c.insertEntry(fetchedInst{pc: fi.pc, inst: isa.Inst{Op: isa.OpFence}, synthetic: true})
+			c.insertEntry(&fetchedInst{pc: fi.pc, inst: isa.Inst{Op: isa.OpFence}, synthetic: true})
 			n++
 		}
 		c.fetchBuf = c.fetchBuf[1:]
@@ -149,7 +164,7 @@ func (c *Core) dispatch() {
 			return
 		}
 		if fenceAfter {
-			c.insertEntry(fetchedInst{pc: fi.pc, inst: isa.Inst{Op: isa.OpFence}, synthetic: true})
+			c.insertEntry(&fetchedInst{pc: fi.pc, inst: isa.Inst{Op: isa.OpFence}, synthetic: true})
 			n++
 		}
 	}
@@ -162,7 +177,7 @@ func isBranchNeedingFence(op isa.Op) bool {
 // insertEntry allocates and renames one ROB entry. Callers have verified
 // space. A synthetic fetchedInst (defense fence) consumes no fetch-buffer
 // slot.
-func (c *Core) insertEntry(fi fetchedInst) {
+func (c *Core) insertEntry(fi *fetchedInst) {
 	phys := c.robPhys(c.robCnt)
 	c.robCnt++
 	e := &c.rob[phys]
@@ -187,14 +202,14 @@ func (c *Core) insertEntry(fi fetchedInst) {
 	op := fi.inst.Op
 	if needsSrc1(op) {
 		if p := c.rat[fi.inst.Rs1]; p >= 0 {
-			e.src1Rob = p
+			e.src1Rob, e.src1Seq = p, c.rob[p].seq
 		} else {
 			e.src1Val = c.regs[fi.inst.Rs1]
 		}
 	}
 	if needsSrc2(op) {
 		if p := c.rat[fi.inst.Rs2]; p >= 0 {
-			e.src2Rob = p
+			e.src2Rob, e.src2Seq = p, c.rob[p].seq
 		} else {
 			e.src2Val = c.regs[fi.inst.Rs2]
 		}
@@ -216,26 +231,42 @@ func (c *Core) insertEntry(fi fetchedInst) {
 			e.fenceDone = true
 		}
 	}
+	if isFenceLike(e) && !e.fenceDone {
+		c.fencesPending++
+	}
+}
+
+// srcValue reads the producer a rename reference (slot, seq) names, and
+// reports whether its value is available. While the slot still holds seq the
+// producer is in flight; otherwise it has retired and retVal[slot] holds its
+// value, because the slot's next retirement comes after every consumer of its
+// previous occupant has retired (DESIGN.md §10).
+func (c *Core) srcValue(slot int, seq uint64) (uint64, bool) {
+	p := &c.rob[slot]
+	if p.seq != seq {
+		return c.retVal[slot], true
+	}
+	return p.destVal, p.st == stCompleted
 }
 
 // srcReady pulls a source operand if its producer has completed, and reports
 // whether the operand is available.
-func (c *Core) srcReady(rob *int, val *uint64) bool {
+func (c *Core) srcReady(rob *int, seq, val *uint64) bool {
 	if *rob == noDep {
 		return true
 	}
-	p := &c.rob[*rob]
-	if p.st != stCompleted {
+	v, ok := c.srcValue(*rob, *seq)
+	if !ok {
 		return false
 	}
-	*val = p.destVal
+	*val = v
 	*rob = noDep
 	return true
 }
 
 func (c *Core) operandsReady(e *robEntry) bool {
-	r1 := c.srcReady(&e.src1Rob, &e.src1Val)
-	r2 := c.srcReady(&e.src2Rob, &e.src2Val)
+	r1 := c.srcReady(&e.src1Rob, &e.src1Seq, &e.src1Val)
+	r2 := c.srcReady(&e.src2Rob, &e.src2Seq, &e.src2Val)
 	return r1 && r2
 }
 
@@ -267,44 +298,38 @@ func (c *Core) issue() {
 					goto trackFences
 				}
 				alus--
-				e.st = stExecuting
-				e.execDoneAt = c.now + 1
+				c.startExec(e, 1)
 			case op == isa.OpMul:
 				if muldivs == 0 {
 					goto trackFences
 				}
 				muldivs--
-				e.st = stExecuting
-				e.execDoneAt = c.now + uint64(c.cfg.LatMul)
+				c.startExec(e, uint64(c.cfg.LatMul))
 			case op == isa.OpDiv || op == isa.OpDivS || op == isa.OpRemU:
 				if muldivs == 0 {
 					goto trackFences
 				}
 				muldivs--
-				e.st = stExecuting
-				e.execDoneAt = c.now + uint64(c.cfg.LatDiv)
+				c.startExec(e, uint64(c.cfg.LatDiv))
 			case op.IsALU():
 				if alus == 0 {
 					goto trackFences
 				}
 				alus--
-				e.st = stExecuting
-				e.execDoneAt = c.now + uint64(c.cfg.LatALU)
+				c.startExec(e, uint64(c.cfg.LatALU))
 			case op.IsBranch():
 				if alus == 0 {
 					goto trackFences
 				}
 				alus--
-				e.st = stExecuting
-				e.execDoneAt = c.now + 1
+				c.startExec(e, 1)
 			case op.IsMem():
 				// Address generation.
 				if agus == 0 {
 					goto trackFences
 				}
 				agus--
-				e.st = stExecuting
-				e.execDoneAt = c.now + 1
+				c.startExec(e, 1)
 			case op == isa.OpFence || op == isa.OpAcquire || op == isa.OpRelease:
 				// Fences occupy no FU; completion is tracked separately.
 				e.st = stWaitMem
@@ -330,6 +355,16 @@ func (c *Core) issue() {
 	}
 }
 
+// startExec sends e to a functional unit for lat cycles, keeping execDue a
+// lower bound on every executing entry's completion cycle.
+func (c *Core) startExec(e *robEntry, lat uint64) {
+	e.st = stExecuting
+	e.execDoneAt = c.now + lat
+	if e.execDoneAt < c.execDue {
+		c.execDue = e.execDoneAt
+	}
+}
+
 func isFenceLike(e *robEntry) bool {
 	switch e.inst.Op {
 	case isa.OpFence, isa.OpAcquire, isa.OpRelease:
@@ -339,11 +374,24 @@ func isFenceLike(e *robEntry) bool {
 }
 
 // completeExec moves instructions whose functional-unit latency has elapsed
-// into the completed state, resolving branches and store addresses.
+// into the completed state, resolving branches and store addresses. It
+// skips the scan while no entry can be due (c.now < execDue) and leaves
+// execDue at the earliest completion still pending; a squash that aborts
+// the scan leaves survivors unscanned, so it resets the bound to 0.
 func (c *Core) completeExec() {
+	if c.now < c.execDue {
+		return
+	}
+	due := NeverWake
 	for i := 0; i < c.robCnt; i++ {
 		e := c.robAt(i)
-		if e.st != stExecuting || e.execDoneAt > c.now {
+		if e.st != stExecuting {
+			continue
+		}
+		if e.execDoneAt > c.now {
+			if e.execDoneAt < due {
+				due = e.execDoneAt
+			}
 			continue
 		}
 		op := e.inst.Op
@@ -356,6 +404,7 @@ func (c *Core) completeExec() {
 			e.st = stCompleted
 		case op.IsBranch():
 			if c.resolveBranch(i, e) {
+				c.execDue = 0
 				return // squash invalidated the scan
 			}
 		case op == isa.OpLoad || op == isa.OpPrefetch:
@@ -374,6 +423,7 @@ func (c *Core) completeExec() {
 			sq.dataReady = true
 			e.st = stCompleted
 			if c.storeAliasSquash(i, sq) {
+				c.execDue = 0
 				return
 			}
 		case op == isa.OpRMW, op == isa.OpFlush:
@@ -382,6 +432,7 @@ func (c *Core) completeExec() {
 			e.st = stCompleted
 		}
 	}
+	c.execDue = due
 }
 
 // resolveBranch compares outcome with prediction, squashing on a
@@ -459,14 +510,19 @@ func (c *Core) resolveBranch(logical int, e *robEntry) bool {
 // older store in the ROB and an empty write buffer); an acquire requires all
 // older loads performed; a release requires older loads performed and older
 // stores performed.
+//
+// The scan ends at the youngest incomplete fence-like entry: nothing younger
+// can complete here, so with fencesPending == 0 it does not run at all.
 func (c *Core) updateFenceCompletion() {
+	left := c.fencesPending
 	allOlderDone := true
 	olderLoadsPerformed := true
 	olderStorePresent := false
-	for i := 0; i < c.robCnt; i++ {
+	for i := 0; i < c.robCnt && left > 0; i++ {
 		e := c.robAt(i)
 		op := e.inst.Op
 		if isFenceLike(e) && !e.fenceDone {
+			left--
 			done := false
 			switch {
 			case e.synthetic:
@@ -481,6 +537,7 @@ func (c *Core) updateFenceCompletion() {
 			if done {
 				e.fenceDone = true
 				e.st = stCompleted
+				c.fencesPending--
 			}
 		}
 		if e.st != stCompleted {

@@ -62,6 +62,9 @@ func (c *Core) squashFromLogical(L int, reason stats.SquashReason, redirect int,
 			c.sq[e.sqIdx].valid = false
 			c.sqCnt--
 		}
+		if isFenceLike(e) && !e.fenceDone {
+			c.fencesPending--
+		}
 		e.valid = false
 	}
 	// Squash-time defense cleanup (e.g. SpecBox flushes the labels of the

@@ -19,6 +19,22 @@ import (
 // conditions read-only, in the same order the stage evaluates them; the
 // golden-equivalence tests in internal/sim hold the two kernels to
 // byte-identical stats fingerprints.
+//
+// The stages themselves keep incremental state so a tick costs what it does,
+// not what the ROB holds. Each mirror shadows one stage, is updated wherever
+// that stage's input changes, and is recomputed from the ROB and compared by
+// StructuralCheck (introspect.go):
+//
+//	fencesPending  incomplete fence-like entries: updateFenceCompletion and
+//	               fenceWouldComplete stop after the last one, and skip the
+//	               ROB entirely at 0 (fence stage).
+//	execDue        lower bound on executing entries' execDoneAt, kept by
+//	               startExec; completeExec skips while now < execDue, and its
+//	               mid-scan squash exits reset it to 0 (execute stage).
+//	retVal, srcNSeq  retired producers' values and the seq each rename
+//	               reference expects; srcReady (and srcAvailable here) read a
+//	               retired producer from retVal, so popHead is O(1)
+//	               (rename/retire stage).
 
 // NeverWake mirrors engine.Never ("waiting on an external response only")
 // without importing the engine package: core sits below the kernel layer.
@@ -170,13 +186,15 @@ func (c *Core) wbWantsIssue() bool {
 // fence-like entry's completion condition already holds, so the next tick
 // would complete it.
 func (c *Core) fenceWouldComplete() bool {
+	left := c.fencesPending
 	allOlderDone := true
 	olderLoadsPerformed := true
 	olderStorePresent := false
-	for i := 0; i < c.robCnt; i++ {
+	for i := 0; i < c.robCnt && left > 0; i++ {
 		e := c.robAt(i)
 		op := e.inst.Op
 		if isFenceLike(e) && !e.fenceDone {
+			left--
 			switch {
 			case e.synthetic:
 				if allOlderDone {
@@ -255,9 +273,7 @@ func (c *Core) robWake() (uint64, bool) {
 			if blockedMem && (op.IsMem() || op == isa.OpFence) {
 				continue
 			}
-			ready := (e.src1Rob == noDep || c.rob[e.src1Rob].st == stCompleted) &&
-				(e.src2Rob == noDep || c.rob[e.src2Rob].st == stCompleted)
-			if ready {
+			if c.srcAvailable(e.src1Rob, e.src1Seq) && c.srcAvailable(e.src2Rob, e.src2Seq) {
 				return 0, true
 			}
 		}
@@ -273,6 +289,15 @@ func (c *Core) robWake() (uint64, bool) {
 		}
 	}
 	return wake, false
+}
+
+// srcAvailable mirrors srcReady read-only.
+func (c *Core) srcAvailable(slot int, seq uint64) bool {
+	if slot == noDep {
+		return true
+	}
+	_, ok := c.srcValue(slot, seq)
+	return ok
 }
 
 // lqWake mirrors memStep's per-entry progression: deferred-TLB loads that

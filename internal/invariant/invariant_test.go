@@ -159,6 +159,26 @@ func TestMutationRetireStallCaught(t *testing.T) {
 	}
 }
 
+// Mutation self-test 4: a pending-fence count that disagrees with the ROB
+// (the counter that gates the per-cycle fence scan) must trip the core
+// structural checker.
+func TestMutationFenceCountCaught(t *testing.T) {
+	m := newMachine(t, config.Base)
+	m.EnableChecking(invariant.Options{Interval: 64})
+	if err := m.RunInstructions(100, 1_000_000); err != nil {
+		t.Fatalf("warmup: %v", err)
+	}
+	if err := m.CheckNow(); err != nil {
+		t.Fatalf("clean machine fails checking: %v", err)
+	}
+	m.Cores[1].InjectFenceCountSkew()
+	err := m.CheckNow()
+	assertViolation(t, err, "core-structural")
+	if !strings.Contains(err.Error(), "pending-fence count") {
+		t.Fatalf("violation does not name the fence count: %v", err)
+	}
+}
+
 // A fully wedged machine under the fast kernel must not burn host time
 // stepping dead cycles: with no checker stride to land on, the scheduler
 // jumps straight between sweep boundaries, so detection needs only

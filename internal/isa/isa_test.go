@@ -139,6 +139,49 @@ func TestMemoryCrossPageAccess(t *testing.T) {
 	}
 }
 
+// SetBytes copies whole page spans; a span crossing page boundaries must
+// leave the same image and footprint as byte-wise writes, and reading it
+// back (or reading around it) must never allocate a page.
+func TestSetBytesPageSpansMatchByteWrites(t *testing.T) {
+	data := make([]byte, 2*PageSize+100)
+	for i := range data {
+		data[i] = byte(i*7 + 3)
+	}
+	for _, start := range []uint64{0, 1, PageSize - 3, 5*PageSize - 1, 7*PageSize + 64} {
+		spans, bytewise := NewMemory(), NewMemory()
+		spans.SetBytes(start, data)
+		for i, b := range data {
+			bytewise.SetByte(start+uint64(i), b)
+		}
+		if spans.Footprint() != bytewise.Footprint() {
+			t.Fatalf("start %#x: footprint %d, byte-wise %d", start, spans.Footprint(), bytewise.Footprint())
+		}
+		pages := spans.Footprint()
+		lo, hi := start-min(start, 16), start+uint64(len(data))+16
+		if got, want := spans.ReadBytes(lo, int(hi-lo)), bytewise.ReadBytes(lo, int(hi-lo)); string(got) != string(want) {
+			t.Fatalf("start %#x: SetBytes image differs from byte-wise writes", start)
+		}
+		for a := lo; a+8 <= hi; a += 5 {
+			for _, size := range []uint8{1, 2, 4, 8} {
+				if got, want := spans.Read(a, size), bytewise.Read(a, size); got != want {
+					t.Fatalf("start %#x: Read(%#x, %d) = %#x, byte-wise %#x", start, a, size, got, want)
+				}
+			}
+		}
+		spans.Read(hi+10*PageSize-4, 8) // unwritten, straddles a page boundary
+		spans.Read(hi+20*PageSize, 8)
+		if spans.Footprint() != pages {
+			t.Fatalf("start %#x: reads allocated pages: footprint %d, want %d", start, spans.Footprint(), pages)
+		}
+	}
+	empty := NewMemory()
+	empty.SetBytes(PageSize, nil)
+	empty.Write(PageSize, 0, 0)
+	if empty.Footprint() != 0 {
+		t.Fatalf("empty writes allocated %d pages", empty.Footprint())
+	}
+}
+
 func TestMemoryQuickRoundTrip(t *testing.T) {
 	m := NewMemory()
 	f := func(addr uint64, v uint64, szSel uint8) bool {
@@ -555,5 +598,21 @@ func TestBuilderLiLabel(t *testing.T) {
 	}
 	if _, err := NewBuilder("t").LiLabel(1, "nowhere").Halt().Build(); err == nil {
 		t.Fatal("LiLabel to an undefined label not reported")
+	}
+}
+
+// BenchmarkLoadProgramImage measures the program-image half of cell
+// construction: 1 MiB of initial data in unaligned chunks that straddle
+// page boundaries, loaded into a fresh memory per iteration.
+func BenchmarkLoadProgramImage(b *testing.B) {
+	p := &Program{}
+	chunk := make([]byte, 16*PageSize+13)
+	for addr := uint64(0x10_0000 + 7); len(p.InitMem) < 16; addr += uint64(len(chunk)) + 64 {
+		p.InitMem = append(p.InitMem, InitChunk{Addr: addr, Data: chunk})
+	}
+	b.SetBytes(int64(len(chunk) * len(p.InitMem)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewMemory().LoadProgramImage(p)
 	}
 }

@@ -46,19 +46,40 @@ func (m *Memory) SetByte(addr uint64, b byte) {
 }
 
 // Read returns the little-endian unsigned value of the given byte width at
-// addr. Width must be 1, 2, 4 or 8.
+// addr. Width must be 1, 2, 4 or 8. An access inside one page costs one page
+// lookup; reads never allocate pages.
 func (m *Memory) Read(addr uint64, size uint8) uint64 {
 	var v uint64
-	for i := uint8(0); i < size; i++ {
-		v |= uint64(m.ByteAt(addr+uint64(i))) << (8 * i)
+	off := addr % PageSize
+	if off+uint64(size) > PageSize {
+		for i := uint8(0); i < size; i++ {
+			v |= uint64(m.ByteAt(addr+uint64(i))) << (8 * i)
+		}
+		return v
+	}
+	p := m.page(addr, false)
+	if p == nil {
+		return 0
+	}
+	for i := uint64(0); i < uint64(size); i++ {
+		v |= uint64(p[off+i]) << (8 * i)
 	}
 	return v
 }
 
-// Write stores the low `size` bytes of v little-endian at addr.
+// Write stores the low `size` bytes of v little-endian at addr, with one
+// page lookup when the access stays inside one page.
 func (m *Memory) Write(addr uint64, size uint8, v uint64) {
-	for i := uint8(0); i < size; i++ {
-		m.SetByte(addr+uint64(i), byte(v>>(8*i)))
+	off := addr % PageSize
+	if size == 0 || off+uint64(size) > PageSize {
+		for i := uint8(0); i < size; i++ {
+			m.SetByte(addr+uint64(i), byte(v>>(8*i)))
+		}
+		return
+	}
+	p := m.page(addr, true)
+	for i := uint64(0); i < uint64(size); i++ {
+		p[off+i] = byte(v >> (8 * i))
 	}
 }
 
@@ -71,10 +92,12 @@ func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	return out
 }
 
-// SetBytes stores data starting at addr.
+// SetBytes stores data starting at addr, one page span at a time.
 func (m *Memory) SetBytes(addr uint64, data []byte) {
-	for i, b := range data {
-		m.SetByte(addr+uint64(i), b)
+	for len(data) > 0 {
+		n := copy(m.page(addr, true)[addr%PageSize:], data)
+		data = data[n:]
+		addr += uint64(n)
 	}
 }
 
