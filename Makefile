@@ -58,11 +58,12 @@ check: build vet race
 # the binaries `tools` built.
 ci: check lint leakscan leaksearch conform
 
-# Resilience gate: the seeded chaos self-tests kill journaled bench,
-# leakage, and conformance campaigns at randomized checkpoint appends
-# (torn tail included), inject transient faults, resume, and assert the
-# final deterministic payload is byte-identical to an uninterrupted run
-# at 1 and 4 workers. (Also runs as part of `make race`.)
+# Resilience gate: the seeded chaos self-tests kill checkpointed bench,
+# leakage, and conformance campaigns at randomized store writes (the
+# killed write never lands), inject transient faults, resume from the
+# reopened store, and assert the final deterministic payload is
+# byte-identical to an uninterrupted run at 1 and 4 workers. (Also runs as
+# part of `make race`.)
 chaos:
 	$(GO) test -run 'TestChaos' -count=1 ./internal/campaign ./internal/leakage ./internal/conform
 
@@ -107,7 +108,7 @@ leakscan: tools
 # hill-climb over every template class against the full defense matrix.
 # Fails (exit 1) if any searched candidate leaks through a defense the
 # expected-outcome matrix says blocks it. The nightly workflow runs the
-# same search at a deep budget with a journaled -resume.
+# same search at a deep budget with a checkpointed -resume.
 leaksearch: tools
 	$(BIN)/leakscan -search -search-budget 3 -seed 1 -trials 2 -jobs $(JOBS) -json SEARCH_smoke.json
 
@@ -131,5 +132,5 @@ baseline: tools
 # jobs are gated against the committed baseline; the trends page reads the
 # committed BENCH_*.json artifacts in the repo root.
 serve: tools
-	$(BIN)/simserver -addr :8080 -cache .simcache -journal-dir .simcache/journals \
+	$(BIN)/simserver -addr :8080 -cache .simcache \
 		-history . -baseline BENCH_baseline.json

@@ -58,7 +58,8 @@ var (
 	quiet   = flag.Bool("quiet", false, "suppress per-job progress lines on stderr")
 
 	// campaignFlags registers the uniform -journal/-resume/-retries/-isolate
-	// resilience flags (internal/campaign).
+	// resilience flags (internal/campaign); -journal DIR is the checkpoint
+	// store.
 	campaignFlags = campaign.AddFlags(flag.CommandLine)
 
 	csvW *csv.Writer
@@ -196,14 +197,17 @@ func reproFor(name string, j runner.Job) string {
 	return cmd
 }
 
-// runMatrix shards the jobs across the campaign layer (checkpoint journal,
+// runMatrix shards the jobs across the campaign layer (checkpoint store,
 // typed retries, optional isolation — see the -journal/-resume/-retries/
 // -isolate flags), records every measurement in the CSV and bench-JSON
 // sinks, and degrades gracefully: cells that fail permanently land in the
 // artifact's degraded block with a repro command and the sweep exits
 // non-zero after writing everything, instead of aborting on first error.
 func runMatrix(jobs []runner.Job, name string) []runner.JobResult {
-	copts := campaignFlags()
+	copts, err := campaignFlags()
+	if err != nil {
+		fail(err)
+	}
 	copts.Workers = *jobsN
 	if !*quiet {
 		copts.Progress = os.Stderr
@@ -254,8 +258,8 @@ func runMatrix(jobs []runner.Job, name string) []runner.JobResult {
 // exact job matrix under the cycle-by-cycle reference stepper and fails the
 // sweep unless the deterministic bench payload — every counter of every run —
 // is byte-identical to the fast kernel's. The stepped pass uses the fast
-// pass's campaign options minus the journal, so it never truncates or
-// re-heads the fast pass's -journal file. On success it returns both
+// pass's campaign options minus the checkpoint store, so it neither reads
+// nor writes the fast pass's -journal directory. On success it returns both
 // sweeps' wall times for the artifact's quarantined host block, so
 // benchdiff trajectories record the fast-forward speedup without gating on
 // it.
@@ -263,7 +267,7 @@ func compareKernels(fast campaign.BenchSweep, fastBench *runner.Bench, fastWall 
 	stepped := fast
 	stepped.Campaign += "-stepped"
 	stepped.Kernel = engine.KernelStepped
-	opts.Journal, opts.Resume = "", false
+	opts.Store = nil
 	start := time.Now()
 	steppedBench, results, _, err := campaign.RunBench(context.Background(), stepped, opts)
 	steppedWall := time.Since(start)

@@ -1,13 +1,11 @@
 package main
 
-// The journal test uses the exec-helper pattern (like cmd/simserver's): the
+// The checkpoint test uses the exec-helper pattern (like cmd/simserver's): the
 // test binary re-execs itself into main with a benchtable command line, so
 // flags, exit codes and files behave exactly as on the command line.
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -46,13 +44,12 @@ func benchtable(t *testing.T, args ...string) {
 }
 
 // TestCompareKernelsLeavesJournalAlone: the stepped verification pass of
-// -comparekernels must never truncate, re-head or append to the fast pass's
-// -journal. The journal then holds exactly the fast cells under the fast
-// campaign's header, and -resume replays it, running nothing, to an
-// artifact cmp-identical to the first run's.
+// -comparekernels must never read or write the fast pass's -journal store.
+// The store then holds exactly the fast cells' keys, and -resume replays
+// it, writing nothing, to an artifact cmp-identical to the first run's.
 func TestCompareKernelsLeavesJournalAlone(t *testing.T) {
 	dir := t.TempDir()
-	journal := filepath.Join(dir, "fig4.jsonl")
+	journal := filepath.Join(dir, "fig4")
 	first := filepath.Join(dir, "BENCH_first.json")
 	resumed := filepath.Join(dir, "BENCH_resumed.json")
 	common := []string{"-fig", "4", "-names", "sjeng", "-defenses", "Base,IS-Sp",
@@ -60,10 +57,7 @@ func TestCompareKernelsLeavesJournalAlone(t *testing.T) {
 		"-benchhost=false", "-benchname", "journal", "-journal", journal}
 
 	benchtable(t, append(common, "-comparekernels", "-benchjson", first)...)
-	before, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := storeFiles(t, journal)
 
 	jobs := runner.Matrix([]string{"sjeng"}, false, []config.Consistency{config.TSO, config.RC},
 		[]config.Defense{config.Base, config.ISSpectre}, nil, 500, 2000)
@@ -77,36 +71,31 @@ func TestCompareKernelsLeavesJournalAlone(t *testing.T) {
 			kernelOf[key] = k
 		}
 	}
-	var header string
 	cells := 0
-	sc := bufio.NewScanner(bytes.NewReader(before))
-	for line := 0; sc.Scan(); line++ {
-		var rec struct{ Campaign, Key string }
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("journal line %d: %v", line, err)
-		}
-		if line == 0 {
-			header = rec.Campaign
+	for name := range before {
+		key, ok := strings.CutSuffix(name, ".cell")
+		if !ok {
+			t.Errorf("store holds %s, which is not a cell entry", name)
 			continue
 		}
-		k, ok := kernelOf[rec.Key]
-		if !ok || k != engine.KernelFast {
-			t.Errorf("journal line %d holds a %v-kernel cell (key %s)", line, k, rec.Key)
+		if k, ok := kernelOf[key]; !ok || k != engine.KernelFast {
+			t.Errorf("store holds a %v-kernel cell (key %s)", k, key)
 		}
 		cells++
 	}
-	if header != "benchtable-fig4" || cells != len(jobs) {
-		t.Fatalf("journal header %q with %d cell(s), want benchtable-fig4 with %d fast cells",
-			header, cells, len(jobs))
+	if cells != len(jobs) {
+		t.Fatalf("store holds %d cell(s), want the %d fast cells", cells, len(jobs))
 	}
 
 	benchtable(t, append(common, "-resume", "-benchjson", resumed)...)
-	after, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
+	after := storeFiles(t, journal)
+	if len(after) != len(before) {
+		t.Errorf("resume changed the store from %d to %d files", len(before), len(after))
 	}
-	if !bytes.Equal(before, after) {
-		t.Error("resume appended to a complete journal: it re-ran cells")
+	for name, fi := range before {
+		if !os.SameFile(fi, after[name]) {
+			t.Errorf("resume rewrote %s: it re-ran cells", name)
+		}
 	}
 	a, err := os.ReadFile(first)
 	if err != nil {
@@ -119,4 +108,23 @@ func TestCompareKernelsLeavesJournalAlone(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("resumed artifact differs from the -comparekernels run's:\n--- first ---\n%s\n--- resumed ---\n%s", a, b)
 	}
+}
+
+// storeFiles maps every file in a checkpoint store directory to its
+// FileInfo; a rewritten entry is a new file, since stores write by rename.
+func storeFiles(t *testing.T, dir string) map[string]os.FileInfo {
+	t.Helper()
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]os.FileInfo{}
+	for _, de := range names {
+		fi, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[de.Name()] = fi
+	}
+	return files
 }

@@ -5,11 +5,11 @@
 // optionally auto-shrunk to minimized reproducers.
 //
 // The campaign runs on the resilient execution layer (internal/campaign):
-// -journal checkpoints every finished program, -resume skips programs a
-// previous (possibly killed) run already finished and replays their results
-// byte-identically, -retries re-runs transient failures, and -isolate
-// shards programs into kill-on-hang child worker processes (the same binary
-// re-exec'd in -cellworker mode).
+// -journal DIR checkpoints every finished program in a store directory,
+// -resume skips programs a previous (possibly killed) run already finished
+// and replays their results byte-identically, -retries re-runs transient
+// failures, and -isolate shards programs into kill-on-hang child worker
+// processes (the same binary re-exec'd in -cellworker mode).
 //
 // Imported traces join the gate too: -import DIR replays every *.trace
 // admitted by the workload registry under the full configuration matrix
@@ -126,13 +126,18 @@ func run() int {
 		return 0
 	}
 
+	camp, err := copts()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "conformfuzz:", err)
+		return 2
+	}
 	opts := conform.Options{
 		Seed:           *seed,
 		N:              *n,
 		Jobs:           *jobs,
 		Shrink:         *shrink,
 		MaxShrinkEvals: *evals,
-		Campaign:       copts(),
+		Campaign:       camp,
 	}
 	if *defsF != "" {
 		opts.Defenses = defs

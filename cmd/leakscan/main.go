@@ -12,11 +12,11 @@
 //	-corpus fuzz   -n variants generated deterministically from -seed
 //
 // The scan runs on the resilient execution layer (internal/campaign):
-// -journal checkpoints every finished trial, -resume skips trials a
-// previous (possibly killed) run already finished and replays their
-// latencies byte-identically, -retries re-runs transient failures, and
-// -isolate shards trials into kill-on-hang child worker processes (the
-// same binary re-exec'd in -cellworker mode).
+// -journal DIR checkpoints every finished trial in a store directory,
+// -resume skips trials a previous (possibly killed) run already finished
+// and replays their latencies byte-identically, -retries re-runs
+// transient failures, and -isolate shards trials into kill-on-hang child
+// worker processes (the same binary re-exec'd in -cellworker mode).
 //
 // The report's deterministic payload is byte-identical at any -jobs
 // width; host facts (wall time, worker count) are quarantined in the
@@ -85,6 +85,14 @@ func main() {
 	)
 	copts := campaign.AddFlags(flag.CommandLine)
 	flag.Parse()
+	campaignOpts := func() campaign.Options {
+		o, err := copts()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "leakscan:", err)
+			os.Exit(2)
+		}
+		return o
+	}
 
 	if *search {
 		defs, err := config.ParseDefenses(*defsF)
@@ -110,7 +118,7 @@ func main() {
 			shrinkBudget: *shrinkBudget,
 			name:         searchName,
 			verbose:      *verbose,
-			campaign:     copts(),
+			campaign:     campaignOpts(),
 		}))
 	}
 
@@ -164,7 +172,7 @@ func main() {
 		Jobs:     *jobs,
 		Timeout:  *timeout,
 		Name:     reportName,
-		Campaign: copts(),
+		Campaign: campaignOpts(),
 		Repro: func(ts leakage.TrialSpec) string {
 			// One scan of just the failing attack reproduces all its trials
 			// (the per-trial fault seeds derive from the cell identity, not

@@ -13,10 +13,13 @@
 //	curl -s localhost:8080/api/v1/jobs/j1/artifact > BENCH_smoke.json
 //	curl -s localhost:8080/metrics
 //
+// The cache is also every job's campaign checkpoint, in the same format a
+// CLI's -journal DIR writes, so a CLI checkpoint directory can seed it.
+//
 // SIGINT/SIGTERM triggers a graceful drain: the listener stops, new
-// submissions get 503, in-flight cells finish and journal, fresh cell
-// computations are refused (they re-run — mostly from cache — on
-// resubmission after restart), and the cache index is persisted.
+// submissions get 503, in-flight cells finish and land in the cache, fresh
+// cell computations are refused (they re-run on resubmission after
+// restart), and the cache index is persisted.
 package main
 
 import (
@@ -50,7 +53,6 @@ func realMain(args []string, stdout, stderr *os.File) int {
 		cacheDir   = fs.String("cache", "simcache", "content-addressed memo cache directory")
 		maxEntries = fs.Int("max-entries", 0, "cache entry bound (LRU eviction; 0 = unlimited)")
 		workers    = fs.Int("workers", 0, "global compute slots (0 = GOMAXPROCS)")
-		journalDir = fs.String("journal-dir", "", "per-job campaign journal directory (empty = no journals)")
 		history    = fs.String("history", "", "directory of committed BENCH_*.json artifacts for the trends page")
 		baseline   = fs.String("baseline", "", "bench artifact to gate sweep jobs against (benchdiff verdict)")
 		retries    = fs.Int("retries", 0, "transient-failure retries per cell")
@@ -75,18 +77,11 @@ func realMain(args []string, stdout, stderr *os.File) int {
 			return 1
 		}
 	}
-	if *journalDir != "" {
-		if err := os.MkdirAll(*journalDir, 0o755); err != nil {
-			fmt.Fprintln(stderr, "simserver:", err)
-			return 1
-		}
-	}
 
 	srv, err := serve.New(serve.Options{
 		Workers:         *workers,
 		CacheDir:        *cacheDir,
 		MaxCacheEntries: *maxEntries,
-		JournalDir:      *journalDir,
 		HistoryDir:      *history,
 		Baseline:        *baseline,
 		Retries:         *retries,
@@ -119,7 +114,7 @@ func realMain(args []string, stdout, stderr *os.File) int {
 	select {
 	case <-ctx.Done():
 		// Stop accepting connections, then drain: in-flight cells finish
-		// and journal, the cache index is persisted.
+		// and land in the cache, the cache index is persisted.
 		fmt.Fprintln(stderr, "simserver: signal received, draining")
 		shutCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
 		defer cancel()

@@ -18,6 +18,12 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"invisispec/internal/campaign"
+	"invisispec/internal/config"
+	"invisispec/internal/engine"
+	"invisispec/internal/memo"
+	"invisispec/internal/runner"
 )
 
 // TestHelperServer is not a test: it is the server process body.
@@ -38,8 +44,7 @@ type server struct {
 
 func startServer(t *testing.T, cacheDir string) *server {
 	t.Helper()
-	args := []string{"-addr", "127.0.0.1:0", "-cache", cacheDir, "-workers", "1",
-		"-journal-dir", filepath.Join(cacheDir, "journals")}
+	args := []string{"-addr", "127.0.0.1:0", "-cache", cacheDir, "-workers", "1"}
 	cmd := exec.Command(os.Args[0], "-test.run=TestHelperServer$")
 	cmd.Env = append(os.Environ(),
 		"SIMSERVER_TEST_MAIN=1",
@@ -144,11 +149,13 @@ func TestGracefulShutdownMidJob(t *testing.T) {
 	// Wait until the first cell has completed — the job is mid-flight — then
 	// signal.
 	deadline := time.Now().Add(2 * time.Minute)
+	finished := 0
 	for {
 		if time.Now().After(deadline) {
 			t.Fatalf("first cell never completed; stderr:\n%s", srv.errb)
 		}
 		if st := srv.status(t, job.ID); st.Progress.Completed >= 1 {
+			finished = st.Progress.Completed
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -160,12 +167,29 @@ func TestGracefulShutdownMidJob(t *testing.T) {
 		t.Fatalf("server exit: %v; stderr:\n%s", err, srv.errb)
 	}
 
-	// The drain persisted the cache index and journaled the finished cells.
+	// The drain persisted the cache index, and the cells that finished
+	// before the signal (a prefix: one worker runs them in order) are in
+	// the cache.
 	if _, err := os.Stat(filepath.Join(cacheDir, "index.json")); err != nil {
 		t.Errorf("cache index not persisted: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(cacheDir, "journals", job.ID+".jsonl")); err != nil {
-		t.Errorf("job journal not written: %v", err)
+	store, err := memo.Open(cacheDir, memo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defs, err := config.ParseDefenses("Base,Fe-Sp,IS-Sp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := runner.Matrix([]string{"bzip2"}, false, []config.Consistency{config.TSO}, defs, nil, 1000, 100000)
+	for _, j := range jobs[:finished] {
+		key, err := campaign.Key(campaign.SpecForJob(j, engine.KernelFast))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := store.Get(key); !ok {
+			t.Errorf("finished cell %s is not in the cache", j)
+		}
 	}
 
 	// Warm restart over the same cache: the resubmitted job re-runs only the

@@ -25,7 +25,7 @@ import (
 type DegradedCell struct {
 	// Name is the cell's human label (e.g. "mcf/IS-Sp/TSO").
 	Name string `json:"name"`
-	// Key is the cell's content-hash identity in the campaign journal.
+	// Key is the cell's content-hash identity in the campaign checkpoint.
 	Key string `json:"key"`
 	// Error is the terminal failure.
 	Error string `json:"error"`

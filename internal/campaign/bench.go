@@ -21,7 +21,7 @@ import (
 
 // JobSpec is a bench cell's content identity: every input that determines
 // the run's deterministic output, and nothing host-dependent (timeouts and
-// worker counts deliberately excluded). It is the journal hash key and the
+// worker counts deliberately excluded). It is the checkpoint key and the
 // isolation wire format for bench campaigns.
 type JobSpec struct {
 	Workload    string             `json:"workload"`
@@ -59,7 +59,7 @@ func RunJobSpec(ctx context.Context, s JobSpec) (harness.Result, error) {
 	if s.FaultSeed != 0 {
 		opts = append(opts, harness.WithFaultSeed(s.FaultSeed))
 	}
-	// s.Parsec stays part of the content identity (journal hashes predate
+	// s.Parsec stays part of the content identity (checkpoint keys predate
 	// the registry) but dispatch is the registry's job now.
 	return harness.MeasureWorkload(s.Workload, s.Defense, s.Consistency, s.Warmup, s.Measure, opts...)
 }
@@ -86,7 +86,7 @@ func JobCells(jobs []runner.Job, kernel engine.Kernel, timeout time.Duration) []
 }
 
 // JobResults converts campaign outcomes (parallel to the jobs that built the
-// cells) back into the runner's JobResult shape: journaled and fresh values
+// cells) back into the runner's JobResult shape: stored and fresh values
 // decode identically, failed cells carry their terminal error.
 func JobResults(jobs []runner.Job, outcomes []Outcome) ([]runner.JobResult, error) {
 	if len(jobs) != len(outcomes) {
@@ -99,7 +99,7 @@ func JobResults(jobs []runner.Job, outcomes []Outcome) ([]runner.JobResult, erro
 			continue
 		}
 		if err := json.Unmarshal(o.Value, &results[i].Result); err != nil {
-			return nil, fmt.Errorf("campaign: decoding journaled result for %s: %w", o.Name, err)
+			return nil, fmt.Errorf("campaign: decoding result for %s: %w", o.Name, err)
 		}
 	}
 	return results, nil
@@ -107,7 +107,7 @@ func JobResults(jobs []runner.Job, outcomes []Outcome) ([]runner.JobResult, erro
 
 // BenchSweep is one bench matrix for RunBench.
 type BenchSweep struct {
-	// Campaign names the run in progress lines and in its journal header.
+	// Campaign names the run in progress lines and errors.
 	Campaign string
 	// Name, Warmup and Measure are the artifact's header fields.
 	Name            string

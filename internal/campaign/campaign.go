@@ -1,24 +1,29 @@
 // Package campaign is the resilient execution layer over the internal/runner
-// task pool: it runs a matrix of deterministic cells with (1) an append-only
-// JSONL checkpoint journal keyed by a content hash of each cell's identity,
-// so a killed campaign resumes by skipping finished cells and produces a
-// final artifact byte-identical to an uninterrupted run at any worker count;
-// (2) a typed retry policy — transient host-side failures (subprocess crash,
-// wall-clock timeout, fault-seeded I/O) re-run under capped exponential
-// backoff with deterministic seeded jitter, while deterministic simulator
-// outcomes (budget exhaustion, deadlock, divergence) fail fast; (3) an
-// opt-in subprocess isolation mode that shards cells into kill-on-hang child
-// worker processes, so a wedged or OOMed cell cannot take down the campaign;
-// and (4) graceful degradation — cells that fail permanently are recorded in
-// the artifact's degraded block with a ready-to-run repro command instead of
-// aborting the campaign.
+// task pool: it runs a matrix of deterministic cells with (1) a checkpoint
+// in the content-addressed internal/memo store, keyed by a content hash of
+// each cell's identity, so a killed campaign resumes by looking up its
+// finished cells and produces a final artifact byte-identical to an
+// uninterrupted run at any worker count; (2) a typed retry policy —
+// transient host-side failures (subprocess crash, wall-clock timeout,
+// fault-seeded I/O) re-run under capped exponential backoff with
+// deterministic seeded jitter, while deterministic simulator outcomes
+// (budget exhaustion, deadlock, divergence) fail fast; (3) an opt-in
+// subprocess isolation mode that shards cells into kill-on-hang child
+// worker processes, so a wedged or OOMed cell cannot take down the
+// campaign; and (4) graceful degradation — cells that fail permanently are
+// recorded in the artifact's degraded block with a ready-to-run repro
+// command instead of aborting the campaign.
 //
 // Byte-identity across interruption is the design invariant everything hangs
 // off: a cell's value is marshaled to canonical JSON exactly once, at the
-// moment it completes, and both the journal and the caller see those same
+// moment it completes, and both the store and the caller see those same
 // bytes — so resumed, re-sharded, and uninterrupted campaigns cannot drift.
-// The seeded chaos harness (ChaosOptions, `make chaos`) proves it by killing
-// campaigns at randomized journal appends and asserting resume-to-identity.
+// Only successes are stored: a terminal failure is recomputed on resume, and
+// a deterministic one reproduces the same error text and class. The CLIs'
+// -journal DIR and the simulation server's cache are the same store, so
+// both check, resume and deduplicate through this one code path. The seeded
+// chaos harness (ChaosOptions, `make chaos`) kills campaigns at randomized
+// store writes and asserts resume-to-identity.
 package campaign
 
 import (
@@ -26,6 +31,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -33,23 +39,24 @@ import (
 	"time"
 
 	"invisispec/internal/artifact"
+	"invisispec/internal/memo"
 	"invisispec/internal/runner"
 )
 
 // Cell is one unit of campaign work.
 type Cell struct {
-	// Name labels the cell in journals, progress lines, and degraded blocks.
+	// Name labels the cell in progress lines and degraded blocks.
 	Name string
 	// Spec is the cell's JSON-serializable identity: everything that
 	// determines its deterministic output (workload, defense, consistency,
 	// seed, budget, kernel, ...). Its canonical JSON is content-hashed into
-	// the journal key, and in isolation mode it is shipped to the worker
+	// the checkpoint key, and in isolation mode it is shipped to the worker
 	// process, which must be able to reconstruct the work from it alone.
 	Spec any
 	// Timeout bounds each attempt's host wall-clock time (0 = Options.CellTimeout).
 	Timeout time.Duration
 	// Run does the work in-process. The returned value must marshal to JSON;
-	// those bytes are what the journal and the caller both see.
+	// those bytes are what the store and the caller both see.
 	Run func(ctx context.Context) (any, error)
 }
 
@@ -61,14 +68,19 @@ type Outcome struct {
 	Value    json.RawMessage // canonical JSON of the cell's value; nil when Err != nil
 	Err      error           // terminal failure (degraded or cancelled cell)
 	Class    Class           // Err's classification (ClassNone on success)
-	Attempts int             // how many times the cell ran (0 if never started)
-	// FromJournal marks a cell skipped because a prior run already
-	// journaled its terminal outcome.
-	FromJournal bool
-	// HostNS is host wall-clock spent on the cell this run (0 for journaled
-	// cells) — nondeterministic, for host blocks only.
+	Attempts int             // how many times the cell ran this run (0 if cached or never started)
+	// Cached marks a cell whose value came from Options.Store — a prior
+	// run's checkpoint or a concurrent caller — instead of running.
+	Cached bool
+	// HostNS is host wall-clock spent on the cell this run (a store read
+	// for cached cells) — nondeterministic, for host blocks only.
 	HostNS int64
 }
+
+// ErrKilled is returned by a campaign whose chaos harness reached its
+// configured kill point: the run aborted mid-flight as if SIGKILLed, leaving
+// the store for a resume.
+var ErrKilled = errors.New("campaign: killed at chaos kill point")
 
 // ChaosOptions is the seeded chaos harness: deterministic fault injection
 // and kill points for the kill/resume self-tests (`make chaos`) and the CI
@@ -76,9 +88,10 @@ type Outcome struct {
 type ChaosOptions struct {
 	// Seed drives fault-site selection deterministically.
 	Seed int64
-	// KillAtAppend tears the Nth journal append mid-write and aborts the
-	// campaign with ErrKilled, simulating a SIGKILL (0 = off).
-	KillAtAppend int
+	// KillAtWrite refuses the Nth checkpoint store write and every later
+	// one and aborts the campaign with ErrKilled: the state a SIGKILL
+	// inside the store's temp-file-plus-rename write leaves (0 = off).
+	KillAtWrite int
 	// FaultEveryN injects one transient failure into the first attempt of
 	// every cell whose seeded hash lands on 0 mod N, exercising the retry
 	// path under chaos (0 = off).
@@ -103,28 +116,29 @@ type Options struct {
 	Seed int64
 	// CellTimeout bounds each attempt of cells that don't set their own.
 	CellTimeout time.Duration
-	// Journal is the checkpoint path ("" = no checkpointing). Without
-	// Resume an existing file is truncated; with Resume its terminal cells
-	// are skipped and their journaled values replayed byte-identically.
-	Journal string
-	Resume  bool
+	// Store is the checkpoint (nil = no checkpointing). Every cell resolves
+	// through Store.Do: a stored value is replayed byte-identically without
+	// running the cell, concurrent callers of the same key share one
+	// computation, and a fresh success is stored before the cell counts as
+	// done. A store write that fails aborts the campaign.
+	Store *memo.Store
 	// Isolate, when non-nil, runs every attempt in a child worker process
 	// with kill-on-hang semantics (see IsolateOptions).
 	Isolate *IsolateOptions
 	// Exec, when non-nil (and Isolate is nil), replaces the in-process
 	// attempt: it receives the cell and its content key and returns the
-	// cell's canonical JSON value. This is the memoization seam — the
-	// simulation server points it at a content-addressed store whose Do
-	// wraps c.Run, so a cached cell never re-runs. The returned RawMessage
-	// is passed through to the journal and the Outcome byte-for-byte,
-	// preserving the byte-identity invariant across cache hits. Exec runs
-	// under the same per-attempt timeout, panic recovery, retry, and
-	// journaling as an ordinary attempt.
+	// cell's canonical JSON value. The simulation server uses it as its
+	// compute gate (drain refusal, global compute slots). The returned
+	// RawMessage is passed through to the store and the Outcome
+	// byte-for-byte. Exec runs under the same per-attempt timeout, panic
+	// recovery and retry as an ordinary attempt, and never for a cell the
+	// Store already holds.
 	Exec func(ctx context.Context, c Cell, key string) (json.RawMessage, error)
 	// Progress receives the pool's per-cell progress lines.
 	Progress io.Writer
 	// OnProgress receives the pool's structured per-cell completion events
-	// (see runner.Options.OnProgress).
+	// (see runner.Options.OnProgress); each event's Value is the cell's
+	// Outcome.
 	OnProgress func(runner.ProgressEvent)
 	// Chaos enables the seeded kill/fault harness.
 	Chaos *ChaosOptions
@@ -133,7 +147,7 @@ type Options struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// Key content-hashes a cell spec's canonical JSON into the journal key.
+// Key content-hashes a cell spec's canonical JSON into the checkpoint key.
 func Key(spec any) (string, error) {
 	b, err := json.Marshal(spec)
 	if err != nil {
@@ -146,8 +160,8 @@ func Key(spec any) (string, error) {
 // Run executes the cells on the bounded pool with checkpointing, retry, and
 // (optionally) process isolation, returning one Outcome per cell in cell
 // order. Per-cell failures degrade rather than abort: Run returns an error
-// only for campaign-level problems — an invalid cell set, an unusable or
-// unwritable journal, a cancelled context, or the chaos harness's ErrKilled.
+// only for campaign-level problems — an invalid cell set, a failed
+// checkpoint write, a cancelled context, or the chaos harness's ErrKilled.
 func Run(ctx context.Context, name string, cells []Cell, opts Options) ([]Outcome, error) {
 	if opts.BackoffBase <= 0 {
 		opts.BackoffBase = 100 * time.Millisecond
@@ -167,25 +181,17 @@ func Run(ctx context.Context, name string, cells []Cell, opts Options) ([]Outcom
 			return nil, fmt.Errorf("campaign: cell %s: %w", c.Name, err)
 		}
 		if prev, dup := seen[key]; dup {
-			return nil, fmt.Errorf("campaign: cells %s and %s share content key %s — the journal cannot tell them apart",
+			return nil, fmt.Errorf("campaign: cells %s and %s share content key %s — the checkpoint cannot tell them apart",
 				cells[prev].Name, c.Name, key)
 		}
 		seen[key] = i
 		outcomes[i] = Outcome{Index: i, Name: c.Name, Key: key}
 	}
 
-	var j *journal
-	if opts.Journal != "" {
-		var err error
-		if j, err = openJournal(opts.Journal, name, opts.Resume, opts.Chaos); err != nil {
-			return nil, err
-		}
-		defer j.close()
-	}
-
-	// The campaign's own context: a chaos kill or a journal-write failure
-	// cancels it so in-flight cells drain at their next cooperative poll,
-	// mimicking sudden process death as closely as an in-process harness can.
+	// The campaign's own context: a chaos kill or a checkpoint-write
+	// failure cancels it so in-flight cells drain at their next cooperative
+	// poll, mimicking sudden process death as closely as an in-process
+	// harness can.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -200,43 +206,28 @@ func Run(ctx context.Context, name string, cells []Cell, opts Options) ([]Outcom
 		abortMu.Unlock()
 		cancel()
 	}
+	var cp *checkpoint
+	if opts.Store != nil {
+		cp = &checkpoint{store: opts.Store, chaos: opts.Chaos, abort: abort}
+	}
 
-	var (
-		tasks   []runner.Task
-		taskIdx []int
-	)
+	tasks := make([]runner.Task, len(cells))
 	for i := range cells {
-		o := &outcomes[i]
-		if j != nil {
-			if rec, ok := j.prior[o.Key]; ok {
-				o.FromJournal = true
-				o.Attempts = rec.Attempts
-				if rec.Error != "" {
-					o.Class = parseClass(rec.Class)
-					o.Err = &journaledError{msg: rec.Error, class: o.Class}
-				} else {
-					o.Value = rec.Value
-				}
-				continue
-			}
-		}
 		i := i
-		tasks = append(tasks, runner.Task{
+		tasks[i] = runner.Task{
 			Name: cells[i].Name,
 			Run: func(tctx context.Context) (any, error) {
-				return runCell(tctx, cells[i], outcomes[i], opts, j, abort), nil
+				return runCell(tctx, cells[i], outcomes[i], opts, cp), nil
 			},
-		})
-		taskIdx = append(taskIdx, i)
+		}
 	}
 
 	trs := runner.RunTasks(runCtx, tasks, runner.Options{Jobs: opts.Workers, Progress: opts.Progress, OnProgress: opts.OnProgress})
-	for k, tr := range trs {
-		i := taskIdx[k]
+	for i, tr := range trs {
 		if tr.Err != nil {
 			// Pool-level failure: the cell never produced an Outcome (not
 			// started before cancellation, or the campaign plumbing itself
-			// panicked). Never journaled, so a resume re-runs it.
+			// panicked). Never stored, so a resume re-runs it.
 			outcomes[i].Err = tr.Err
 			outcomes[i].Class = Classify(tr.Err)
 		} else {
@@ -257,9 +248,77 @@ func Run(ctx context.Context, name string, cells []Cell, opts Options) ([]Outcom
 	return outcomes, nil
 }
 
-// runCell drives one cell to a terminal outcome: attempt, classify, retry
-// transients under backoff, journal the terminal result.
-func runCell(ctx context.Context, c Cell, o Outcome, opts Options, j *journal, abort func(error)) Outcome {
+// checkpoint is one run's handle on Options.Store: the store, the chaos
+// harness's write counter, and the abort that a failed write triggers.
+type checkpoint struct {
+	store *memo.Store
+	chaos *ChaosOptions
+	abort func(error)
+
+	mu     sync.Mutex
+	writes int
+}
+
+// admit lets the next store write land unless the chaos harness's kill
+// point is reached: the KillAtWrite-th write and every later one are
+// refused with ErrKilled.
+func (cp *checkpoint) admit() error {
+	if cp.chaos == nil || cp.chaos.KillAtWrite <= 0 {
+		return nil
+	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	cp.writes++
+	if cp.writes >= cp.chaos.KillAtWrite {
+		return ErrKilled
+	}
+	return nil
+}
+
+// runCell resolves one cell to a terminal outcome: through the checkpoint
+// store when there is one, settling the cell itself only on a miss.
+func runCell(ctx context.Context, c Cell, o Outcome, opts Options, cp *checkpoint) Outcome {
+	if cp == nil {
+		return settle(ctx, c, o, opts)
+	}
+	for {
+		ran := false
+		var fresh Outcome
+		val, _, err := cp.store.Do(ctx, o.Key, func(ctx context.Context) ([]byte, error) {
+			ran = true
+			fresh = settle(ctx, c, o, opts)
+			if fresh.Err != nil {
+				return nil, fresh.Err // never stored: a resume recomputes it
+			}
+			if err := cp.admit(); err != nil {
+				return nil, err
+			}
+			return fresh.Value, nil
+		})
+		switch {
+		case ran:
+			if err != nil && fresh.Err == nil {
+				// The value is correct but did not land. Continuing without
+				// durability would let a later crash silently lose work the
+				// caller believes checkpointed.
+				cp.abort(err)
+			}
+			return fresh
+		case err == nil:
+			o.Value, o.Cached = val, true
+			return o
+		case ctx.Err() != nil:
+			o.Err, o.Class = ctx.Err(), ClassCancelled
+			return o
+		}
+		// A concurrent caller's computation of this key failed. Failures
+		// are not shared through the store, so settle the cell ourselves.
+	}
+}
+
+// settle drives one cell to a terminal outcome: attempt, classify, retry
+// transients under backoff.
+func settle(ctx context.Context, c Cell, o Outcome, opts Options) Outcome {
 	for {
 		o.Attempts++
 		val, err := attempt(ctx, c, o.Key, opts)
@@ -269,10 +328,10 @@ func runCell(ctx context.Context, c Cell, o Outcome, opts Options, j *journal, a
 		class := Classify(err)
 		switch class {
 		case ClassNone:
-			// A value that is already canonical JSON (an Exec hook serving
-			// memoized bytes) passes through untouched — re-marshaling would
-			// be identity for compact JSON, but byte-identity is the
-			// invariant, so we never rely on that.
+			// A value that is already canonical JSON (an Exec hook) passes
+			// through untouched — re-marshaling would be identity for
+			// compact JSON, but byte-identity is the invariant, so we never
+			// rely on that.
 			raw, ok := val.(json.RawMessage)
 			if !ok {
 				var merr error
@@ -280,18 +339,10 @@ func runCell(ctx context.Context, c Cell, o Outcome, opts Options, j *journal, a
 				if merr != nil {
 					o.Err = fmt.Errorf("campaign: %s: marshaling cell value: %w", c.Name, merr)
 					o.Class = ClassDeterministic
-					journalOutcome(j, o, abort)
 					return o
 				}
 			}
 			o.Value = raw
-			o.Err, o.Class = nil, ClassNone
-			journalOutcome(j, o, abort)
-			return o
-		case ClassCancelled:
-			// Not journaled: the campaign is going down, and a resume must
-			// re-run this cell.
-			o.Err, o.Class = err, class
 			return o
 		case ClassTransient:
 			if o.Attempts <= opts.Retries {
@@ -302,11 +353,9 @@ func runCell(ctx context.Context, c Cell, o Outcome, opts Options, j *journal, a
 				continue
 			}
 		}
-		// Terminal failure: deterministic, or transient with the retry
-		// budget exhausted. Journaled so a resume preserves the degraded
-		// block byte-for-byte rather than silently re-litigating it.
+		// Terminal: cancelled, deterministic, or transient with the retry
+		// budget exhausted.
 		o.Err, o.Class = err, class
-		journalOutcome(j, o, abort)
 		return o
 	}
 }
@@ -335,24 +384,6 @@ func attempt(ctx context.Context, c Cell, key string, opts Options) (val any, er
 		return opts.Exec(ctx, c, key)
 	}
 	return c.Run(ctx)
-}
-
-// journalOutcome appends a terminal outcome; a refused append (chaos kill or
-// write failure) aborts the whole campaign — continuing without durability
-// would let a later crash silently lose work the caller believes journaled.
-func journalOutcome(j *journal, o Outcome, abort func(error)) {
-	if j == nil {
-		return
-	}
-	rec := journalRecord{Kind: "cell", Key: o.Key, Name: o.Name, Attempts: o.Attempts, Value: o.Value}
-	if o.Err != nil {
-		rec.Value = nil
-		rec.Error = o.Err.Error()
-		rec.Class = o.Class.String()
-	}
-	if err := j.appendCell(rec); err != nil {
-		abort(err)
-	}
 }
 
 // backoffFor computes the capped exponential backoff plus deterministic

@@ -1,9 +1,11 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"invisispec/internal/invariant"
+	"invisispec/internal/memo"
 	"invisispec/internal/sim"
 )
 
@@ -82,8 +85,8 @@ func TestRunBasicOrderAndValues(t *testing.T) {
 		if o.Index != i || o.Name != cells[i].Name {
 			t.Errorf("outcome %d: index %d name %q", i, o.Index, o.Name)
 		}
-		if o.Err != nil || o.Attempts != 1 || o.FromJournal {
-			t.Errorf("outcome %d: err=%v attempts=%d fromJournal=%v", i, o.Err, o.Attempts, o.FromJournal)
+		if o.Err != nil || o.Attempts != 1 || o.Cached {
+			t.Errorf("outcome %d: err=%v attempts=%d cached=%v", i, o.Err, o.Attempts, o.Cached)
 		}
 		want, _ := json.Marshal(synthValue{I: i, Sq: i * i})
 		if string(o.Value) != string(want) {
@@ -126,7 +129,6 @@ func TestClassifyTable(t *testing.T) {
 		{"panic", &PanicError{Cell: "c", Value: "boom"}, ClassDeterministic},
 		{"remote transient", &RemoteError{Msg: "m", Class: ClassTransient}, ClassTransient},
 		{"remote deterministic", &RemoteError{Msg: "m", Class: ClassDeterministic}, ClassDeterministic},
-		{"journaled transient", &journaledError{msg: "m", class: ClassTransient}, ClassTransient},
 		{"unknown", errors.New("mystery"), ClassDeterministic},
 	}
 	for _, c := range cases {
@@ -268,15 +270,14 @@ func TestRetrySleepsObserveBackoff(t *testing.T) {
 	}
 }
 
-// TestCancelledCellsNotJournaled: a cancelled campaign journals nothing for
+// TestCancelledCellsNotJournaled: a cancelled campaign stores nothing for
 // the interrupted cells, so a resume re-runs them.
 func TestCancelledCellsNotJournaled(t *testing.T) {
 	dir := t.TempDir()
-	journal := filepath.Join(dir, "j.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cells := synthCells("cancel", 4, nil)
-	outcomes, err := Run(ctx, "cancel", cells, Options{Journal: journal})
+	outcomes, err := Run(ctx, "cancel", cells, Options{Store: openStore(t, dir)})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled campaign returned %v", err)
 	}
@@ -288,27 +289,17 @@ func TestCancelledCellsNotJournaled(t *testing.T) {
 			t.Fatalf("cell %s classified %v, want cancelled", o.Name, o.Class)
 		}
 	}
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var rec journalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("journal line %q: %v", line, err)
-		}
-		if rec.Kind == "cell" {
-			t.Fatalf("cancelled cell journaled: %s", line)
-		}
+	if n := openStore(t, dir).Stats().Entries; n != 0 {
+		t.Fatalf("cancelled campaign stored %d entries, want 0", n)
 	}
 	// Resume after the abort: every cell runs fresh.
-	outcomes, err = Run(context.Background(), "cancel", cells, Options{Journal: journal, Resume: true})
+	outcomes, err = Run(context.Background(), "cancel", cells, Options{Store: openStore(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range outcomes {
-		if o.Err != nil || o.FromJournal {
-			t.Fatalf("cell %s after resume: err=%v fromJournal=%v", o.Name, o.Err, o.FromJournal)
+		if o.Err != nil || o.Cached {
+			t.Fatalf("cell %s after resume: err=%v cached=%v", o.Name, o.Err, o.Cached)
 		}
 	}
 }
@@ -344,142 +335,166 @@ func TestDegradedBlock(t *testing.T) {
 	}
 }
 
-// TestJournalTornTailTolerated: a SIGKILL mid-append leaves a half-written
-// final line; resume must shrug it off and re-run only that cell.
+// TestJournalTornTailTolerated: a SIGKILL inside a checkpoint write leaves
+// a half-written temp file and no entry for that cell; resume must shrug
+// the orphan off and re-run only that cell.
 func TestJournalTornTailTolerated(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "j.jsonl")
 	cells := synthCells("torn", 3, nil)
-	outcomes, err := Run(context.Background(), "torn", cells, Options{Journal: path})
+	outcomes, err := Run(context.Background(), "torn", cells, Options{Store: openStore(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tear the final line in half.
-	data, _ := os.ReadFile(path)
-	trimmed := data[:len(data)-1] // drop trailing newline
-	cut := len(trimmed) - len(trimmed)/4
-	if err := os.WriteFile(path, trimmed[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Run(context.Background(), "torn", cells, Options{Journal: path, Resume: true})
+	// Turn the last cell's entry into the torn write a crash mid-Put
+	// leaves: half its bytes under a temp name, nothing under its own.
+	entry := filepath.Join(dir, outcomes[2].Key+".cell")
+	data, err := os.ReadFile(entry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromJournal := 0
+	if err := os.WriteFile(filepath.Join(dir, ".tmp-torn"), data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(entry); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Run(context.Background(), "torn", cells, Options{Store: openStore(t, dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := 0
 	for i, o := range resumed {
 		if o.Err != nil {
 			t.Fatalf("cell %s failed on resume: %v", o.Name, o.Err)
 		}
 		if string(o.Value) != string(outcomes[i].Value) {
-			t.Fatalf("cell %s drifted across torn-tail resume:\n%s\nvs\n%s", o.Name, o.Value, outcomes[i].Value)
+			t.Fatalf("cell %s drifted across torn-write resume:\n%s\nvs\n%s", o.Name, o.Value, outcomes[i].Value)
 		}
-		if o.FromJournal {
-			fromJournal++
+		if o.Cached {
+			cached++
 		}
 	}
-	if fromJournal != 2 {
-		t.Fatalf("%d cells replayed from torn journal, want 2", fromJournal)
+	if cached != 2 || resumed[2].Cached {
+		t.Fatalf("%d cells replayed from the torn store (cell 2 cached: %v), want 2 and not cell 2", cached, resumed[2].Cached)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ".tmp-torn")); !os.IsNotExist(err) {
+		t.Fatalf("torn temp file survived the resume (err=%v)", err)
 	}
 }
 
-// TestJournalValidation: corrupt middle lines, missing headers, wrong
-// schemas, and wrong campaign names all refuse to resume.
-func TestJournalValidation(t *testing.T) {
-	header := fmt.Sprintf(`{"kind":"header","schema":%q,"campaign":"c"}`, JournalSchema)
-	cases := []struct {
-		name, content, wantErr string
-	}{
-		{"corrupt middle", header + "\n{garbage}\n" + `{"kind":"cell","key":"k"}` + "\n", "corrupt at line 2"},
-		{"no header", `{"kind":"cell","key":"k"}` + "\n", "no header"},
-		{"bad schema", `{"kind":"header","schema":"other/v9","campaign":"c"}` + "\n", "schema"},
-		{"wrong campaign", fmt.Sprintf(`{"kind":"header","schema":%q,"campaign":"other"}`, JournalSchema) + "\n", "belongs to campaign"},
-		{"unknown kind", header + "\n" + `{"kind":"mystery"}` + "\n", "unknown record kind"},
-		{"cell without key", header + "\n" + `{"kind":"cell"}` + "\n", "without key"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "j.jsonl")
-			if err := os.WriteFile(path, []byte(c.content), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err := openJournal(path, "c", true, nil)
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("got %v, want error containing %q", err, c.wantErr)
-			}
-		})
-	}
-}
-
-// TestJournalLaterDuplicateWins: when a key appears twice (a re-run appended
-// behind an earlier record), resume uses the later record.
-func TestJournalLaterDuplicateWins(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	content := fmt.Sprintf(`{"kind":"header","schema":%q,"campaign":"c"}`, JournalSchema) + "\n" +
-		`{"kind":"cell","key":"k","name":"n","attempts":1,"error":"first try","class":"transient"}` + "\n" +
-		`{"kind":"cell","key":"k","name":"n","attempts":2,"value":{"fixed":true}}` + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+// TestJournalFreshTruncates: without -resume the store is cleared first, so
+// nothing is replayed and the store holds exactly this run's keys.
+func TestJournalFreshTruncates(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Run(context.Background(), "fresh", synthCells("fresh", 3, nil), Options{Store: openStore(t, dir)}); err != nil {
 		t.Fatal(err)
 	}
-	j, err := openJournal(path, "c", true, nil)
+	fs := flag.NewFlagSet("fresh", flag.ContinueOnError)
+	build := AddFlags(fs)
+	if err := fs.Parse([]string{"-journal", dir}); err != nil {
+		t.Fatal(err)
+	}
+	opts, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.close()
-	rec, ok := j.prior["k"]
-	if !ok || rec.Error != "" || string(rec.Value) != `{"fixed":true}` || rec.Attempts != 2 {
-		t.Fatalf("later record did not win: %+v", rec)
-	}
-}
-
-// TestJournalFreshTruncates: without -resume an existing journal is
-// truncated, not appended to.
-func TestJournalFreshTruncates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
 	cells := synthCells("fresh", 2, nil)
-	if _, err := Run(context.Background(), "fresh", cells, Options{Journal: path}); err != nil {
+	outcomes, err := Run(context.Background(), "fresh", cells, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	first, _ := os.ReadFile(path)
-	if _, err := Run(context.Background(), "fresh", cells, Options{Journal: path}); err != nil {
-		t.Fatal(err)
+	for _, o := range outcomes {
+		if o.Cached {
+			t.Fatalf("cell %s replayed without -resume", o.Name)
+		}
 	}
-	second, _ := os.ReadFile(path)
-	if string(first) != string(second) {
-		t.Fatalf("re-run without resume did not truncate:\n%s\nvs\n%s", first, second)
+	got := storedKeys(t, dir)
+	if len(got) != len(outcomes) || !got[outcomes[0].Key] || !got[outcomes[1].Key] {
+		t.Fatalf("store holds %v, want exactly this run's keys %s and %s", got, outcomes[0].Key, outcomes[1].Key)
 	}
 }
 
-// TestJournaledFailureReplaysOnResume: terminal failures are journaled too,
-// so a resumed campaign preserves the degraded block byte-for-byte instead
-// of silently re-running known-bad cells.
+// TestJournaledFailureReplaysOnResume: only successes are stored, so a
+// resumed campaign re-runs a failed cell exactly once, and its
+// deterministic failure reproduces the degraded entry byte-for-byte.
 func TestJournaledFailureReplaysOnResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
+	dir := t.TempDir()
 	boom := errors.New("deterministically broken")
 	cells := synthCells("degjournal", 3, map[int]error{1: boom})
-	opts := Options{Journal: path}
+	opts := Options{Store: openStore(t, dir)}
 	noSleep(&opts)
 	outcomes, err := Run(context.Background(), "degjournal", cells, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Resume = true
 	var reruns atomic.Int32
 	cells[1].Run = func(ctx context.Context) (any, error) {
 		reruns.Add(1)
 		return nil, boom
 	}
+	opts.Store = openStore(t, dir)
 	resumed, err := Run(context.Background(), "degjournal", cells, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reruns.Load() != 0 {
-		t.Fatalf("journaled failure re-ran %d times on resume", reruns.Load())
+	if reruns.Load() != 1 {
+		t.Fatalf("failed cell re-ran %d times on resume, want 1", reruns.Load())
 	}
-	if !resumed[1].FromJournal || resumed[1].Err == nil {
-		t.Fatalf("failure not replayed from journal: %+v", resumed[1])
+	if !resumed[0].Cached || !resumed[2].Cached || resumed[1].Cached {
+		t.Fatalf("cached flags on resume: %v %v %v, want successes cached and the failure not",
+			resumed[0].Cached, resumed[1].Cached, resumed[2].Cached)
 	}
-	if resumed[1].Err.Error() != outcomes[1].Err.Error() || resumed[1].Class != outcomes[1].Class {
-		t.Fatalf("degraded cell drifted across resume: %v (%v) vs %v (%v)",
-			resumed[1].Err, resumed[1].Class, outcomes[1].Err, outcomes[1].Class)
+	want, err := json.Marshal(Degraded(outcomes, nil))
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, err := json.Marshal(Degraded(resumed, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(Degraded(resumed, nil)) != 1 || !bytes.Equal(got, want) {
+		t.Fatalf("degraded block drifted across resume:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestCheckpointWriteFailureAborts: a cell whose value cannot be stored
+// aborts the campaign with an error instead of finishing without
+// durability.
+func TestCheckpointWriteFailureAborts(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	store := openStore(t, dir)
+	// With the directory gone every store write fails, even for root.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Run(context.Background(), "unwritable", synthCells("unwritable", 2, nil), Options{Store: store})
+	if err == nil {
+		t.Fatal("campaign finished although no checkpoint write landed")
+	}
+}
+
+// openStore opens the checkpoint store at dir, as a fresh process would.
+func openStore(t *testing.T, dir string) *memo.Store {
+	t.Helper()
+	s, err := memo.Open(dir, memo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// storedKeys lists the keys whose entries are on disk in dir.
+func storedKeys(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	for _, de := range names {
+		if key, ok := strings.CutSuffix(de.Name(), ".cell"); ok {
+			keys[key] = true
+		}
+	}
+	return keys
 }

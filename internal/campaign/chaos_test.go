@@ -1,10 +1,11 @@
 package campaign
 
-// The seeded chaos harness self-tests: kill a journaled campaign at
-// randomized checkpoint appends (torn final line included), resume it, and
-// assert the final outcome stream is byte-identical to an uninterrupted
-// run — at 1 and 4 workers, with transient fault injection layered on top.
-// `make chaos` runs these plus the leakage/conform equivalents.
+// The seeded chaos harness self-tests: kill a checkpointed campaign at
+// randomized store writes (the killed write never lands), reopen the store
+// as a restarted process would, resume, and assert the final outcome stream
+// is byte-identical to an uninterrupted run — at 1 and 4 workers, with
+// transient fault injection layered on top. `make chaos` runs these plus
+// the leakage/conform equivalents.
 
 import (
 	"bytes"
@@ -12,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -21,19 +21,20 @@ import (
 	"invisispec/internal/runner"
 )
 
-// runToCompletionViaKills drives a journaled campaign to completion through
-// a sequence of chaos kills: each round kills at a seeded random append
-// until a final run (no chaos) finishes. Returns the completed outcomes.
-func runToCompletionViaKills(t *testing.T, rng *rand.Rand, name string, cells []Cell, opts Options, kills int) []Outcome {
+// runToCompletionViaKills drives a campaign checkpointed in dir to
+// completion through a sequence of chaos kills: each round reopens the
+// store and kills at a seeded random write until a final run (no chaos)
+// finishes. Returns the completed outcomes.
+func runToCompletionViaKills(t *testing.T, rng *rand.Rand, name string, cells []Cell, opts Options, dir string, kills int) []Outcome {
 	t.Helper()
 	for k := 0; k < kills; k++ {
 		chaos := opts
-		chaos.Resume = k > 0
-		chaos.Chaos = &ChaosOptions{Seed: rng.Int63(), KillAtAppend: 1 + rng.Intn(len(cells))}
+		chaos.Store = openStore(t, dir)
+		chaos.Chaos = &ChaosOptions{Seed: rng.Int63(), KillAtWrite: 1 + rng.Intn(len(cells))}
 		_, err := Run(context.Background(), name, cells, chaos)
 		if err == nil {
-			// The kill point landed beyond the appends this round needed
-			// (earlier cells were already journaled); the campaign is done.
+			// The kill point landed beyond the writes this round needed
+			// (earlier cells were already stored); the campaign is done.
 			break
 		}
 		if !errors.Is(err, ErrKilled) {
@@ -41,7 +42,7 @@ func runToCompletionViaKills(t *testing.T, rng *rand.Rand, name string, cells []
 		}
 	}
 	final := opts
-	final.Resume = true
+	final.Store = openStore(t, dir)
 	outcomes, err := Run(context.Background(), name, cells, final)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +52,7 @@ func runToCompletionViaKills(t *testing.T, rng *rand.Rand, name string, cells []
 
 // TestChaosKillResumeByteIdentity is the core resilience proof on synthetic
 // cells: for three seeds, at 1 and 4 workers, a campaign SIGKILLed at
-// randomized journal appends (including one permanently failing cell and
+// randomized store writes (including one permanently failing cell and
 // injected transient faults) resumes to an outcome stream byte-identical to
 // an uninterrupted run's.
 func TestChaosKillResumeByteIdentity(t *testing.T) {
@@ -72,21 +73,20 @@ func TestChaosKillResumeByteIdentity(t *testing.T) {
 
 				rng := rand.New(rand.NewSource(seed))
 				opts := base
-				opts.Journal = filepath.Join(t.TempDir(), "j.jsonl")
 				opts.Chaos = &ChaosOptions{Seed: seed, FaultEveryN: 3}
-				resumed := runToCompletionViaKills(t, rng, name, cells, opts, 2)
+				resumed := runToCompletionViaKills(t, rng, name, cells, opts, t.TempDir(), 2)
 
 				if got := payload(t, resumed); got != cleanPayload {
 					t.Fatalf("resumed payload drifted from clean run:\n--- clean ---\n%s--- resumed ---\n%s", cleanPayload, got)
 				}
 				replayed := 0
 				for _, o := range resumed {
-					if o.FromJournal {
+					if o.Cached {
 						replayed++
 					}
 				}
 				if replayed == 0 {
-					t.Fatal("final resume replayed nothing from the journal — the kills never landed")
+					t.Fatal("final resume replayed nothing from the store — the kills never landed")
 				}
 				cleanDeg := Degraded(clean, nil)
 				resumedDeg := Degraded(resumed, nil)
@@ -162,10 +162,9 @@ func TestChaosBenchKillResume(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, workers := range []int{1, 4} {
 			rng := rand.New(rand.NewSource(seed))
-			opts := Options{Workers: workers, Retries: 1, Seed: seed,
-				Journal: filepath.Join(t.TempDir(), "j.jsonl")}
+			opts := Options{Workers: workers, Retries: 1, Seed: seed}
 			noSleep(&opts)
-			outcomes := runToCompletionViaKills(t, rng, "bench-chaos", cells, opts, 1)
+			outcomes := runToCompletionViaKills(t, rng, "bench-chaos", cells, opts, t.TempDir(), 1)
 			if got := benchPayload(outcomes); !bytes.Equal(got, want) {
 				t.Fatalf("seed %d workers %d: resumed bench payload drifted:\n%s\n--- want ---\n%s", seed, workers, got, want)
 			}

@@ -34,11 +34,11 @@ const (
 	ClassDeterministic
 	// ClassCancelled means the campaign itself was cancelled while the cell
 	// ran (or before it started). Cancelled cells are neither retried nor
-	// journaled, so a resumed campaign re-runs them.
+	// stored, so a resumed campaign re-runs them.
 	ClassCancelled
 )
 
-// String returns the class name used in journal records and wire results.
+// String returns the class name used in degraded blocks and wire results.
 func (c Class) String() string {
 	switch c {
 	case ClassNone:
@@ -53,7 +53,7 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", int(c))
 }
 
-// parseClass is String's inverse for journal/wire records; unknown strings
+// parseClass is String's inverse for wire results; unknown strings
 // read as deterministic (the conservative, never-retry interpretation).
 func parseClass(s string) Class {
 	switch s {
@@ -124,21 +124,11 @@ func (e *PanicError) Error() string {
 }
 func (e *PanicError) campaignClass() Class { return ClassDeterministic }
 
-// journaledError replays a terminal failure recorded in the checkpoint
-// journal, preserving its classification across the resume.
-type journaledError struct {
-	msg   string
-	class Class
-}
-
-func (e *journaledError) Error() string        { return e.msg }
-func (e *journaledError) campaignClass() Class { return e.class }
-
 // Classify maps a cell failure to its retry class:
 //
 //	nil                                  -> ClassNone
 //	carries its own class (RemoteError,
-//	  PanicError, journaled failures)    -> that class
+//	  PanicError)                        -> that class
 //	context.Canceled                     -> ClassCancelled (campaign shutdown)
 //	context.DeadlineExceeded             -> ClassTransient (wall-clock timeout)
 //	ErrTransient (WorkerCrashError,

@@ -2,7 +2,7 @@ package campaign
 
 // Shared CLI surface: every campaign CLI (benchtable, leakscan, conformfuzz)
 // exposes the same resilience flags and the same -cellworker re-exec entry
-// point, so the journaling/retry/isolation semantics are uniform across
+// point, so the checkpoint/retry/isolation semantics are uniform across
 // artifacts.
 
 import (
@@ -14,24 +14,43 @@ import (
 	"os"
 
 	"invisispec/internal/artifact"
+	"invisispec/internal/memo"
 )
 
 // AddFlags registers the uniform resilience flags on fs and returns a
-// builder that assembles the Options they selected after fs.Parse.
-func AddFlags(fs *flag.FlagSet) func() Options {
+// builder that assembles the Options they selected after fs.Parse. With
+// -journal DIR the builder opens the checkpoint store there; without
+// -resume it first clears the store's own files, so the run starts empty.
+// Each call of the builder opens (and, without -resume, clears) the store
+// afresh. The store holds no open files, so it needs no Close: every entry
+// is durable once written.
+func AddFlags(fs *flag.FlagSet) func() (Options, error) {
 	var (
-		journal = fs.String("journal", "", "append-only JSONL checkpoint journal path (\"\" = no checkpointing)")
-		resume  = fs.Bool("resume", false, "skip cells already terminal in -journal and replay their values byte-identically")
+		journal = fs.String("journal", "", "checkpoint store directory: every finished cell is written there (\"\" = no checkpointing)")
+		resume  = fs.Bool("resume", false, "keep -journal's cells and replay them byte-identically instead of clearing the store first")
 		retries = fs.Int("retries", 2, "re-runs per cell after a transient failure (deterministic failures never retry)")
 		isolate = fs.Bool("isolate", false, "run each cell attempt in a kill-on-hang child worker process")
 		seed    = fs.Int64("retry-seed", 0, "seed for the deterministic retry-backoff jitter")
 	)
-	return func() Options {
-		o := Options{Journal: *journal, Resume: *resume, Retries: *retries, Seed: *seed}
+	return func() (Options, error) {
+		o := Options{Retries: *retries, Seed: *seed}
 		if *isolate {
 			o.Isolate = &IsolateOptions{}
 		}
-		return o
+		if *journal == "" {
+			return o, nil
+		}
+		store, err := memo.Open(*journal, memo.Options{})
+		if err != nil {
+			return o, err
+		}
+		if !*resume {
+			if err := store.Clear(); err != nil {
+				return o, err
+			}
+		}
+		o.Store = store
+		return o, nil
 	}
 }
 

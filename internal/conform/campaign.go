@@ -2,8 +2,7 @@ package conform
 
 // The campaign fans generated programs through the resilient execution
 // layer (internal/campaign): one cell per program, each cell running the
-// full configuration matrix against the golden model, with journaled
-// checkpoints, transient-failure retries, and optional subprocess
+// full configuration matrix against the golden model, with checkpoints, transient-failure retries, and optional subprocess
 // isolation. The report artifact follows the repo's bench/leakage pattern
 // — a schema-versioned JSON whose deterministic payload is byte-identical
 // for the same (seed, n) at any worker count, with all wall-clock data
@@ -42,7 +41,7 @@ type Options struct {
 	MaxShrinkEvals int       // oracle budget per shrink (default 2000)
 	Progress       io.Writer // optional per-program progress lines
 	Timeout        time.Duration
-	// Campaign carries the resilience knobs (journal/resume/retries/
+	// Campaign carries the resilience knobs (checkpoint store/retries/
 	// isolation/chaos); Jobs, Timeout, and Progress above override its
 	// pool fields.
 	Campaign campaign.Options
@@ -52,7 +51,7 @@ type Options struct {
 }
 
 // ProgSpec is one conformance cell's content identity: everything that
-// determines the program's deterministic outcome. It is the journal hash
+// determines the program's deterministic outcome. It is the checkpoint
 // key and the isolation wire format for conformance campaigns.
 type ProgSpec struct {
 	CampaignSeed   uint64 `json:"campaign_seed"`
@@ -61,7 +60,7 @@ type ProgSpec struct {
 	MaxShrinkEvals int    `json:"max_shrink_evals,omitempty"`
 	// Defenses restricts the configuration matrix to these registry names
 	// (nil: every registered scheme). Part of the spec — and therefore the
-	// journal identity — because the cell's outcome depends on it.
+	// checkpoint key — because the cell's outcome depends on it.
 	Defenses []string `json:"defenses,omitempty"`
 }
 
@@ -130,7 +129,7 @@ func RunProgSpec(ctx context.Context, s ProgSpec) (ProgramResult, error) {
 	res.Retired, res.Faults = ref.Retired, ref.Faults
 	cfgs, err := s.configs()
 	if err != nil {
-		// A stale journal or hand-edited spec naming an unregistered
+		// A stale checkpoint or hand-edited spec naming an unregistered
 		// scheme is a deterministic input error, not a transient failure:
 		// embed it so the retry policy never re-runs the cell.
 		res.Error = err.Error()
@@ -200,8 +199,8 @@ func (o Options) indices() []int {
 // Campaign runs the selected programs through the matrix via the campaign
 // layer and assembles the report. Runs are addressed by cell index, so the
 // deterministic payload is byte-identical regardless of worker count,
-// completion order, or whether cells were replayed from a resume journal.
-// The returned error is execution-layer only (a journal failure or an
+// completion order, or whether cells were replayed from a checkpoint store.
+// The returned error is execution-layer only (a checkpoint failure or an
 // injected chaos kill); per-program failures degrade into the report.
 func Campaign(ctx context.Context, opts Options) (*Report, error) {
 	idxs := opts.indices()
@@ -258,7 +257,7 @@ func Campaign(ctx context.Context, opts Options) (*Report, error) {
 			rep.Runs[i] = ProgramResult{Index: idx, Seed: Mix(opts.Seed, uint64(idx)), Error: o.Err.Error()}
 		default:
 			if err := json.Unmarshal(o.Value, &rep.Runs[i]); err != nil {
-				return nil, fmt.Errorf("conform: decoding journaled result for %s: %w", o.Name, err)
+				return nil, fmt.Errorf("conform: decoding result for %s: %w", o.Name, err)
 			}
 		}
 		if rep.Runs[i].Error != "" {

@@ -1,7 +1,8 @@
 package conform
 
-// Chaos self-test for the conformance campaign: a journaled fuzz campaign
-// SIGKILLed at seeded random checkpoint appends must resume to a report
+// Chaos self-test for the conformance campaign: a checkpointed fuzz
+// campaign SIGKILLed at seeded random store writes must resume, from the
+// store reopened as a restarted process would, to a report
 // whose deterministic payload is byte-identical to an uninterrupted run's,
 // at 1 and 4 workers. Part of `make chaos`.
 
@@ -11,10 +12,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"invisispec/internal/campaign"
+	"invisispec/internal/memo"
 )
 
 func TestChaosConformKillResume(t *testing.T) {
@@ -44,14 +45,15 @@ func TestChaosConformKillResume(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				opts := base
 				opts.Jobs = workers
+				dir := t.TempDir()
 				opts.Campaign = campaign.Options{
-					Journal: filepath.Join(t.TempDir(), "j.jsonl"),
+					Store:   openStore(t, dir),
 					Retries: 1,
 					Seed:    seed,
 				}
 				opts.Campaign.Chaos = &campaign.ChaosOptions{
-					Seed:         rng.Int63(),
-					KillAtAppend: 1 + rng.Intn(base.N),
+					Seed:        rng.Int63(),
+					KillAtWrite: 1 + rng.Intn(base.N),
 				}
 				rep, err := Campaign(context.Background(), opts)
 				if err != nil {
@@ -60,7 +62,7 @@ func TestChaosConformKillResume(t *testing.T) {
 					}
 					resumed := opts
 					resumed.Campaign.Chaos = nil
-					resumed.Campaign.Resume = true
+					resumed.Campaign.Store = openStore(t, dir)
 					rep, err = Campaign(context.Background(), resumed)
 					if err != nil {
 						t.Fatal(err)
@@ -72,4 +74,14 @@ func TestChaosConformKillResume(t *testing.T) {
 			})
 		}
 	}
+}
+
+// openStore opens the checkpoint store at dir, as a fresh process would.
+func openStore(t *testing.T, dir string) *memo.Store {
+	t.Helper()
+	s, err := memo.Open(dir, memo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

@@ -1,7 +1,8 @@
 package leakage
 
-// Chaos self-test for the leakage campaign: a journaled scan SIGKILLed at
-// seeded random checkpoint appends must resume to a report whose
+// Chaos self-test for the leakage campaign: a checkpointed scan SIGKILLed
+// at seeded random store writes must resume, from the store reopened as a
+// restarted process would, to a report whose
 // deterministic payload is byte-identical to an uninterrupted scan's, at 1
 // and 4 workers. Part of `make chaos`.
 
@@ -12,11 +13,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"invisispec/internal/campaign"
 	"invisispec/internal/config"
+	"invisispec/internal/memo"
 )
 
 func TestChaosLeakageKillResume(t *testing.T) {
@@ -53,17 +54,18 @@ func TestChaosLeakageKillResume(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				opts := base
 				opts.Jobs = workers
+				dir := t.TempDir()
 				opts.Campaign = campaign.Options{
-					Journal: filepath.Join(t.TempDir(), "j.jsonl"),
+					Store:   openStore(t, dir),
 					Retries: 1,
 					Seed:    seed,
 				}
-				// Kill the scan at a random checkpoint append, then resume;
-				// a kill point past the remaining appends means the scan
+				// Kill the scan at a random store write, then resume; a
+				// kill point past the remaining writes means the scan
 				// completed this round.
 				opts.Campaign.Chaos = &campaign.ChaosOptions{
-					Seed:         rng.Int63(),
-					KillAtAppend: 1 + rng.Intn(cellCount),
+					Seed:        rng.Int63(),
+					KillAtWrite: 1 + rng.Intn(cellCount),
 				}
 				rep, err := Scan(context.Background(), specs, opts)
 				if err != nil {
@@ -72,7 +74,7 @@ func TestChaosLeakageKillResume(t *testing.T) {
 					}
 					resumed := opts
 					resumed.Campaign.Chaos = nil
-					resumed.Campaign.Resume = true
+					resumed.Campaign.Store = openStore(t, dir)
 					rep, err = Scan(context.Background(), specs, resumed)
 					if err != nil {
 						t.Fatal(err)
@@ -84,4 +86,14 @@ func TestChaosLeakageKillResume(t *testing.T) {
 			})
 		}
 	}
+}
+
+// openStore opens the checkpoint store at dir, as a fresh process would.
+func openStore(t *testing.T, dir string) *memo.Store {
+	t.Helper()
+	s, err := memo.Open(dir, memo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

@@ -41,7 +41,7 @@ type ScanOptions struct {
 	Progress io.Writer
 	// Name labels the report (e.g. "smoke" or "fuzz-seed42").
 	Name string
-	// Campaign carries the resilience knobs (journal/resume/retries/
+	// Campaign carries the resilience knobs (checkpoint store/retries/
 	// isolation/chaos) through to the execution layer; Jobs, Timeout, and
 	// Progress above override its pool fields.
 	Campaign campaign.Options
@@ -52,7 +52,7 @@ type ScanOptions struct {
 }
 
 // TrialSpec is one scan cell's content identity — attack, defense,
-// consistency model, trial index, cycle budget — used as the journal hash
+// consistency model, trial index, cycle budget — used as the checkpoint
 // key and shipped to isolated workers, which re-run it via RunTrialSpec.
 type TrialSpec struct {
 	Attack      AttackSpec         `json:"attack"`
@@ -150,7 +150,7 @@ func Scan(ctx context.Context, specs []AttackSpec, opts ScanOptions) (*Report, e
 				}
 				var trial []uint64
 				if err := json.Unmarshal(tr.Value, &trial); err != nil {
-					return nil, fmt.Errorf("leakage: decoding journaled trial %s: %w", tr.Name, err)
+					return nil, fmt.Errorf("leakage: decoding trial %s: %w", tr.Name, err)
 				}
 				lats = append(lats, trial)
 			}

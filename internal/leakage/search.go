@@ -23,7 +23,7 @@ package leakage
 //
 // Everything is deterministic at any worker count: mutation draws happen
 // on the single search goroutine in lane order, scores come from the
-// scan's byte-identical cells, and the journal keys every trial by the
+// scan's byte-identical cells, and the checkpoint keys every trial by the
 // full parameter set (campaign.Key over TrialSpec, which embeds the whole
 // AttackSpec), so -resume can never serve a stale cell for a renamed or
 // re-parameterized mutant.
@@ -72,13 +72,12 @@ type SearchOptions struct {
 	MaxCycles  uint64
 	Thresholds Thresholds
 	Progress   io.Writer
-	// Campaign carries the resilience knobs. When a Journal is set, every
-	// iteration after the first resumes from it automatically (the cells
-	// of earlier iterations are already journaled), so one journal file
-	// checkpoints the whole search and a killed search resumes to a
-	// byte-identical report.
+	// Campaign carries the resilience knobs. Its Store spans every
+	// iteration (the cells of earlier iterations are already stored), so
+	// one store checkpoints the whole search and a killed search resumes
+	// to a byte-identical report.
 	Campaign campaign.Options
-	// Name labels the report and the campaign journal entries.
+	// Name labels the report and the campaign's progress lines.
 	Name string
 	// Blind disables the hill-climb: every mutation starts from the lane's
 	// seed spec instead of its incumbent, so improvements cannot compound.
@@ -106,7 +105,7 @@ type SearchStep struct {
 	// Best is the lane's incumbent score after this step.
 	Best float64 `json:"best"`
 	// Repeat marks a candidate whose parameters were already evaluated
-	// this search (the mutator re-drew a visited point); its journaled
+	// this search (the mutator re-drew a visited point); its recorded
 	// score is replayed without re-scanning.
 	Repeat bool `json:"repeat,omitempty"`
 }
@@ -370,16 +369,8 @@ func Search(ctx context.Context, opts SearchOptions) (*SearchReport, []*trace.Tr
 				MaxCycles:   opts.MaxCycles,
 				Thresholds:  opts.Thresholds,
 				Progress:    opts.Progress,
-				// Every iteration scans under the same campaign name: the
-				// journal binds to it, and one journal checkpoints the
-				// whole search.
-				Name:     opts.Name,
-				Campaign: opts.Campaign,
-			}
-			// One journal file checkpoints the whole search: iterations
-			// after the first must resume from it, not truncate it.
-			if iter > 0 && sopts.Campaign.Journal != "" {
-				sopts.Campaign.Resume = true
+				Name:        opts.Name,
+				Campaign:    opts.Campaign,
 			}
 			scanRep, err := Scan(ctx, batch, sopts)
 			if err != nil {
@@ -432,7 +423,7 @@ func Search(ctx context.Context, opts SearchOptions) (*SearchReport, []*trace.Tr
 			} else {
 				// A repeat is a re-drawn point: the mutator could not
 				// leave the parent, or the candidate was already scored
-				// in an earlier round. Its journaled score is replayed,
+				// in an earlier round. Its recorded score is replayed,
 				// and it may still be accepted (another lane's earlier
 				// candidate can beat this lane's incumbent).
 				step.Repeat = c.ID == parents[li].ID || prescored[c.ID]

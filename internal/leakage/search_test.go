@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"invisispec/internal/campaign"
@@ -171,9 +170,9 @@ func TestSearchFindMinimizesAndPromotes(t *testing.T) {
 }
 
 // TestTrialSpecKeyHashesFullParams is the satellite-3 audit: the campaign
-// journal key must be a content hash of the FULL parameter set, so a
+// checkpoint key must be a content hash of the FULL parameter set, so a
 // mutant that reuses an ID with different parameters (or renames the same
-// parameters) can never be served a stale journaled cell.
+// parameters) can never be served a stale stored cell.
 func TestTrialSpecKeyHashesFullParams(t *testing.T) {
 	base := TrialSpec{Attack: CanonicalSSBSpec(84), Defense: config.Base, Consistency: config.TSO, Trial: 0, MaxCycles: 1000}
 	key := func(ts TrialSpec) string {
@@ -191,12 +190,12 @@ func TestTrialSpecKeyHashesFullParams(t *testing.T) {
 	mutated := base
 	mutated.Attack.TrainRounds = 16 // same ID string, different parameters
 	if key(base) == key(mutated) {
-		t.Fatal("journal key ignores TrainRounds: a stale cell could be served for a mutated spec")
+		t.Fatal("checkpoint key ignores TrainRounds: a stale cell could be served for a mutated spec")
 	}
 	renamed := base
 	renamed.Attack.ID = "renamed"
 	if key(base) == key(renamed) {
-		t.Fatal("journal key ignores the ID: distinct report rows would collide in the journal")
+		t.Fatal("checkpoint key ignores the ID: distinct report rows would collide in the store")
 	}
 	for _, mut := range []func(*TrialSpec){
 		func(ts *TrialSpec) { ts.Attack.Secret = 85 },
@@ -210,14 +209,15 @@ func TestTrialSpecKeyHashesFullParams(t *testing.T) {
 		m := base
 		mut(&m)
 		if key(base) == key(m) {
-			t.Fatalf("journal key collision after mutation: %+v vs %+v", base, m)
+			t.Fatalf("checkpoint key collision after mutation: %+v vs %+v", base, m)
 		}
 	}
 }
 
-// TestChaosSearchKillResume: a journaled search SIGKILLed at seeded
-// random checkpoint appends must resume to a byte-identical report — the
-// kill-mid-search coverage of the satellite-3 journal-identity audit.
+// TestChaosSearchKillResume: a checkpointed search SIGKILLed at seeded
+// random store writes must resume, from the store reopened as a restarted
+// process would, to a byte-identical report — the kill-mid-search coverage
+// of the satellite-3 checkpoint-key audit.
 func TestChaosSearchKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("search chaos in -short")
@@ -237,7 +237,7 @@ func TestChaosSearchKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Upper bound on journal appends: every iteration could scan one new
+	// Upper bound on store writes: every iteration could scan one new
 	// candidate across all defense columns and trials.
 	maxAppends := base.Budget * len(base.Defenses) * base.Trials
 
@@ -247,14 +247,15 @@ func TestChaosSearchKillResume(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				opts := base
 				opts.Jobs = workers
+				dir := t.TempDir()
 				opts.Campaign = campaign.Options{
-					Journal: filepath.Join(t.TempDir(), "j.jsonl"),
+					Store:   openStore(t, dir),
 					Retries: 1,
 					Seed:    seed,
 				}
 				opts.Campaign.Chaos = &campaign.ChaosOptions{
-					Seed:         rng.Int63(),
-					KillAtAppend: 1 + rng.Intn(maxAppends),
+					Seed:        rng.Int63(),
+					KillAtWrite: 1 + rng.Intn(maxAppends),
 				}
 				rep, err := run(opts)
 				if err != nil {
@@ -263,7 +264,7 @@ func TestChaosSearchKillResume(t *testing.T) {
 					}
 					resumed := opts
 					resumed.Campaign.Chaos = nil
-					resumed.Campaign.Resume = true
+					resumed.Campaign.Store = openStore(t, dir)
 					rep, err = run(resumed)
 					if err != nil {
 						t.Fatal(err)

@@ -121,7 +121,7 @@ type AttackSpec struct {
 	// and geometry fields keep driving the expected-outcome matrix, the
 	// probe scan, and the machine shape. The named workload must have been
 	// recorded from a program this spec's parameters describe; the
-	// omitempty tag keeps journal identities of template-assembled specs
+	// omitempty tag keeps checkpoint keys of template-assembled specs
 	// unchanged.
 	Workload string `json:",omitempty"`
 }

@@ -14,7 +14,8 @@
 //     hit into a miss, never into a wrong answer.
 //   - Atomicity: entries are written to a temp file and renamed into place,
 //     so a crash mid-write leaves either no entry or a whole one (the rename
-//     is atomic on POSIX filesystems).
+//     is atomic on POSIX filesystems). The only other crash leftover is the
+//     temp file itself, which the next Open deletes.
 //   - In-flight deduplication (singleflight): concurrent Do calls for the
 //     same key run the compute function once; followers wait and share the
 //     leader's bytes. Identical requests from many users cost one simulation
@@ -26,6 +27,10 @@
 // recency) to index.json; Open reloads it and reconciles against the entry
 // files actually on disk, so a SIGKILL between index writes costs nothing
 // but a cold recency order.
+//
+// internal/campaign uses the same store as its checkpoint: a CLI's
+// -journal DIR and the server's cache directory hold the same entries, so
+// a CLI checkpoint can seed a server and vice versa.
 package memo
 
 import (
@@ -54,6 +59,10 @@ const indexName = "index.json"
 
 // entrySuffix marks entry files; everything else in the directory is ignored.
 const entrySuffix = ".cell"
+
+// tmpPrefix starts every temp file Put and Close write before renaming it
+// into place; a file that still carries it was orphaned by a crash.
+const tmpPrefix = ".tmp-"
 
 // Options tunes a store.
 type Options struct {
@@ -134,7 +143,8 @@ type persistedIndex struct {
 // Open creates (or reopens) the store rooted at dir. An existing index.json
 // seeds the recency order; entry files on disk that the index does not know
 // about (a crash before the last Close) are adopted with cold recency, and
-// index records whose files vanished are dropped.
+// index records whose files vanished are dropped. Temp files a crash left
+// mid-Put or mid-Close are deleted.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("memo: creating store dir %s: %w", dir, err)
@@ -164,6 +174,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	onDisk := make(map[string]int64)
 	for _, de := range names {
+		if !de.IsDir() && strings.HasPrefix(de.Name(), tmpPrefix) {
+			os.Remove(filepath.Join(dir, de.Name()))
+			continue
+		}
 		if de.IsDir() || !strings.HasSuffix(de.Name(), entrySuffix) {
 			continue
 		}
@@ -297,7 +311,7 @@ func (s *Store) Put(key string, val []byte) error {
 	if err != nil {
 		return fmt.Errorf("memo: marshaling entry header: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
+	tmp, err := os.CreateTemp(s.dir, tmpPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("memo: creating temp entry: %w", err)
 	}
@@ -350,9 +364,10 @@ func (s *Store) evictLocked(justPut string) {
 // share the result. hit reports whether the value came from the cache or a
 // concurrent computation rather than this call's own compute. A compute
 // failure is returned to the leader and every follower, and nothing is
-// cached, so a later Do retries. A failed Put does not fail Do — the value
-// is correct, only its durability is lost — but the error is counted in
-// Corrupt and surfaces on the next miss.
+// cached, so a later Do retries. A failed Put is returned to the leader
+// alongside the computed value, so a caller that promised durability (the
+// campaign checkpoint) can abort; followers share the value without the
+// error, since it is correct either way.
 func (s *Store) Do(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) (val []byte, hit bool, err error) {
 	s.mu.Lock()
 	if f, ok := s.flights[key]; ok {
@@ -377,15 +392,39 @@ func (s *Store) Do(ctx context.Context, key string, compute func(ctx context.Con
 	s.mu.Unlock()
 
 	f.val, f.err = compute(ctx)
-	if f.err == nil {
-		// Best-effort durability; the in-memory result is already correct.
-		_ = s.Put(key, f.val)
+	err = f.err
+	if err == nil {
+		err = s.Put(key, f.val)
 	}
 	s.mu.Lock()
 	delete(s.flights, key)
 	s.mu.Unlock()
 	close(f.done)
-	return f.val, false, f.err
+	return f.val, false, err
+}
+
+// Clear deletes every entry, the persisted index and any orphaned temp
+// files, leaving the directory itself and anything else in it alone, and
+// resets the entry count and size. The hit/miss counters keep counting.
+func (s *Store) Clear() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	names, err := os.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("memo: scanning store dir %s: %w", s.dir, err)
+	}
+	for _, de := range names {
+		name := de.Name()
+		if de.IsDir() || !(strings.HasSuffix(name, entrySuffix) || strings.HasPrefix(name, tmpPrefix) || name == indexName) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("memo: clearing %s: %w", name, err)
+		}
+	}
+	s.entries = make(map[string]*entry)
+	s.recountLocked()
+	return nil
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -419,7 +458,7 @@ func (s *Store) Close() error {
 	if err != nil {
 		return fmt.Errorf("memo: marshaling index: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-index-*")
+	tmp, err := os.CreateTemp(s.dir, tmpPrefix+"index-*")
 	if err != nil {
 		return fmt.Errorf("memo: creating index temp file: %w", err)
 	}

@@ -284,3 +284,104 @@ func TestIndexRoundTrip(t *testing.T) {
 		t.Fatalf("index-less reopen: val=%q ok=%v", got, ok)
 	}
 }
+
+// TestOpenSweepsOrphanedTempFiles: a crash inside Put or Close leaves a
+// temp file behind; the next Open deletes both kinds and leaves the entries
+// and the index-derived stats exactly as they were.
+func TestOpenSweepsOrphanedTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	for _, key := range []string{"a", "b"} {
+		if err := s.Put(key, []byte(`{"k":"`+key+`"}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := mustOpen(t, dir, Options{}).Stats()
+
+	orphans := []string{tmpPrefix + "123456", tmpPrefix + "index-654321"}
+	for _, name := range orphans {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(`{"schema":"simcache/v1","ke`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2 := mustOpen(t, dir, Options{})
+	for _, name := range orphans {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("orphan %s survived Open (err=%v)", name, err)
+		}
+	}
+	if got := s2.Stats(); got != want {
+		t.Errorf("stats after sweeping orphans = %+v, want %+v", got, want)
+	}
+	for _, key := range []string{"a", "b"} {
+		if got, ok := s2.Get(key); !ok || string(got) != `{"k":"`+key+`"}` {
+			t.Errorf("entry %s after sweep: val=%q ok=%v", key, got, ok)
+		}
+	}
+}
+
+// TestDoReturnsPutError: when the entry cannot be written, the leader gets
+// the computed value and the write error, and nothing is cached.
+func TestDoReturnsPutError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	s := mustOpen(t, dir, Options{})
+	// Removing the directory makes every later temp-file create fail, even
+	// for root, which read-only permissions would not stop.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	val, hit, err := s.Do(context.Background(), "k", func(ctx context.Context) ([]byte, error) {
+		return []byte(`{"v":1}`), nil
+	})
+	if err == nil {
+		t.Fatal("Do swallowed the Put failure")
+	}
+	if hit || string(val) != `{"v":1}` {
+		t.Fatalf("Do with failing Put: val=%q hit=%v, want the computed value and no hit", val, hit)
+	}
+	if st := s.Stats(); st.Entries != 0 {
+		t.Fatalf("failed Put left %d entries in the index", st.Entries)
+	}
+}
+
+// TestClearRemovesOnlyStoreFiles: Clear empties the store but keeps the
+// directory and every file that is not the store's own.
+func TestClearRemovesOnlyStoreFiles(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	if err := s.Put("a", []byte(`{"k":"a"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	foreign := filepath.Join(dir, "notes.txt")
+	for _, path := range []string{foreign, filepath.Join(dir, tmpPrefix+"1")} {
+		if err := os.WriteFile(path, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("stats after Clear: %+v", st)
+	}
+	if _, ok := s.Get("a"); ok {
+		t.Fatal("entry survived Clear")
+	}
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0].Name() != "notes.txt" {
+		var got []string
+		for _, de := range names {
+			got = append(got, de.Name())
+		}
+		t.Fatalf("after Clear the directory holds %v, want only notes.txt", got)
+	}
+}

@@ -9,7 +9,7 @@
 // queue and the results slice (disjoint slots). Determinism of the aggregate
 // therefore reduces to ordering, which the index-addressed results slice
 // pins regardless of completion order. Bench matrices reach the pool through
-// internal/campaign, which adds journaling, retries and isolation on top.
+// internal/campaign, which adds checkpointing, retries and isolation on top.
 package runner
 
 import (
@@ -101,6 +101,7 @@ func (o Options) workers(n int) int {
 // Options.OnProgress. Counters are cumulative across the RunTasks call.
 type ProgressEvent struct {
 	Name      string        // the task/job that just finished
+	Value     any           // its result, nil on failure
 	Err       error         // its failure, nil on success
 	Completed int           // tasks finished so far, including this one
 	Failed    int           // failures so far
@@ -126,7 +127,7 @@ func newProgress(w io.Writer, fn func(ProgressEvent), total int) *progress {
 
 // done records one finished unit of work, emits a progress line with an ETA,
 // and fires the structured callback.
-func (p *progress) done(name string, err error) {
+func (p *progress) done(name string, value any, err error) {
 	if p == nil || (p.w == nil && p.fn == nil) {
 		return
 	}
@@ -152,7 +153,7 @@ func (p *progress) done(name string, err error) {
 	}
 	if p.fn != nil {
 		p.fn(ProgressEvent{
-			Name: name, Err: err,
+			Name: name, Value: value, Err: err,
 			Completed: p.completed, Failed: p.failed, Total: p.total,
 			Elapsed: elapsed, ETA: eta,
 		})

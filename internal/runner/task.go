@@ -70,7 +70,7 @@ func RunTasks(ctx context.Context, tasks []Task, opts Options) []TaskResult {
 				start := time.Now()
 				r.Value, r.Err = runOneTask(ctx, tasks[i])
 				r.HostNS = time.Since(start).Nanoseconds()
-				prog.done(tasks[i].Name, r.Err)
+				prog.done(tasks[i].Name, r.Value, r.Err)
 			}
 		}()
 	}

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -46,8 +45,7 @@ const (
 	StateDone    JobState = "done"
 	StateFailed  JobState = "failed"
 	// StateInterrupted marks a job whose cells were refused by a drain: the
-	// completed cells are journaled and cached, the rest re-run (mostly from
-	// cache) on resubmission.
+	// completed cells are stored, the rest re-run on resubmission.
 	StateInterrupted JobState = "interrupted"
 )
 
@@ -204,9 +202,16 @@ func (j *Job) state() JobState {
 	return j.stateV
 }
 
-// cancelledOrFailed tallies a cell the executor could not complete.
-func (j *Job) cancelledOrFailed(err error) {
-	if errors.Is(err, context.Canceled) {
+// tally counts one finished cell: a stored value is a hit, a value this
+// job computed (or led the singleflight for) a miss, and a refused or
+// cancelled cell marks the job interrupted.
+func (j *Job) tally(o campaign.Outcome) {
+	switch {
+	case o.Cached:
+		j.cacheHits.Add(1)
+	case o.Err == nil:
+		j.cacheMisses.Add(1)
+	case o.Class == campaign.ClassCancelled:
 		j.cancelled.Add(1)
 	}
 }
@@ -424,9 +429,4 @@ func (s *Server) setTotal(job *Job, n int) {
 	s.mu.Lock()
 	job.totalCells = n
 	s.mu.Unlock()
-}
-
-// journalPath is the per-job campaign checkpoint file.
-func (s *Server) journalPath(jobID string) string {
-	return filepath.Join(s.opts.JournalDir, jobID+".jsonl")
 }

@@ -23,12 +23,16 @@
 //	GET  /healthz                  liveness
 //	GET  /, /jobs/{id}, /trends    HTML dashboard (internal/report)
 //
+// The store is also the campaign checkpoint: every job's campaign resolves
+// its cells through it (campaign.Options.Store), exactly as a CLI run with
+// -journal DIR does, so a CLI checkpoint directory can seed the server's
+// cache and the other way round.
+//
 // Shutdown is a drain, not an abort: Drain refuses new submissions (503)
-// and new cell computations, lets in-flight cells finish and journal,
-// then persists the cache index. Refused cells fail with a cancellation-
-// classed error, which the campaign layer never journals — so an
-// interrupted job re-runs only its unfinished cells on resubmission, and
-// even those are typically cache hits.
+// and new cell computations, lets in-flight cells finish and land in the
+// store, then persists the cache index. Refused cells fail with a
+// cancellation-classed error, which the campaign layer never stores — so
+// an interrupted job re-runs only its unfinished cells on resubmission.
 package serve
 
 import (
@@ -57,8 +61,8 @@ type Options struct {
 	CacheDir string
 	// MaxCacheEntries bounds the store (memo LRU eviction; 0 = unlimited).
 	MaxCacheEntries int
-	// JournalDir, when non-empty, gives every job a campaign checkpoint
-	// journal at <JournalDir>/<jobID>.jsonl.
+	// JournalDir is ignored: the memo store under CacheDir is every job's
+	// checkpoint. The field remains only so existing callers compile.
 	JournalDir string
 	// HistoryDir, when non-empty, is scanned for committed BENCH_*.json
 	// artifacts to draw the dashboard's trend lines.
@@ -137,7 +141,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Drain stops the server gracefully: new submissions are refused with 503,
-// fresh cell computations are refused (in-flight cells finish and journal),
+// fresh cell computations are refused (in-flight cells finish and are stored),
 // every job goroutine is waited for, and the memo index is persisted. The
 // context bounds the wait; on expiry the index is still persisted and the
 // context error returned.
@@ -170,68 +174,62 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-// execFor builds a job's campaign Exec hook: the memoization seam. Every
-// cell resolves through the content-addressed store; only a miss acquires a
-// global compute slot and runs the simulation. Fresh computes are refused
-// while draining with a cancellation-classed error so they are never
-// journaled and re-run cleanly on resubmission.
+// execFor builds a job's campaign Exec hook: the compute gate every fresh
+// (non-stored) cell passes. The campaign resolves cells through the shared
+// store first, so only a miss gets here; it then waits for a global compute
+// slot and runs the simulation. Fresh computes are refused while draining
+// with a cancellation-classed error, so they are never stored and re-run
+// cleanly on resubmission.
 func (s *Server) execFor(job *Job) func(ctx context.Context, c campaign.Cell, key string) (json.RawMessage, error) {
 	return func(ctx context.Context, c campaign.Cell, key string) (json.RawMessage, error) {
-		val, hit, err := s.store.Do(ctx, key, func(ctx context.Context) ([]byte, error) {
-			if s.isDraining() {
-				return nil, fmt.Errorf("serve: draining, cell %s refused: %w", c.Name, context.Canceled)
-			}
-			s.queueDepth.Add(1)
-			select {
-			case s.slots <- struct{}{}:
-				s.queueDepth.Add(-1)
-			case <-ctx.Done():
-				s.queueDepth.Add(-1)
-				return nil, ctx.Err()
-			}
-			defer func() { <-s.slots }()
-			s.busy.Add(1)
-			defer s.busy.Add(-1)
-			// Re-check after the (possibly long) queue wait: a drain that
-			// started while this cell queued must still refuse it.
-			if s.isDraining() {
-				return nil, fmt.Errorf("serve: draining, cell %s refused: %w", c.Name, context.Canceled)
-			}
-			if h := s.testHook; h != nil {
-				h(c.Name)
-			}
-			v, err := c.Run(ctx)
-			if err != nil {
-				return nil, err
-			}
-			raw, err := json.Marshal(v)
-			if err != nil {
-				return nil, fmt.Errorf("serve: marshaling cell %s value: %w", c.Name, err)
-			}
-			return raw, nil
-		})
+		if s.isDraining() {
+			return nil, fmt.Errorf("serve: draining, cell %s refused: %w", c.Name, context.Canceled)
+		}
+		s.queueDepth.Add(1)
+		select {
+		case s.slots <- struct{}{}:
+			s.queueDepth.Add(-1)
+		case <-ctx.Done():
+			s.queueDepth.Add(-1)
+			return nil, ctx.Err()
+		}
+		defer func() { <-s.slots }()
+		s.busy.Add(1)
+		defer s.busy.Add(-1)
+		// Re-check after the (possibly long) queue wait: a drain that
+		// started while this cell queued must still refuse it.
+		if s.isDraining() {
+			return nil, fmt.Errorf("serve: draining, cell %s refused: %w", c.Name, context.Canceled)
+		}
+		if h := s.testHook; h != nil {
+			h(c.Name)
+		}
+		v, err := c.Run(ctx)
 		if err != nil {
-			job.cancelledOrFailed(err)
 			return nil, err
 		}
-		if hit {
-			job.cacheHits.Add(1)
-		} else {
-			job.cacheMisses.Add(1)
+		raw, err := json.Marshal(v)
+		if err != nil {
+			return nil, fmt.Errorf("serve: marshaling cell %s value: %w", c.Name, err)
 		}
-		return json.RawMessage(val), nil
+		return raw, nil
 	}
 }
 
-// campaignOpts assembles a job's campaign options: the memoized executor,
-// the structured progress feed, and the per-job journal.
+// campaignOpts assembles a job's campaign options: the shared store as the
+// checkpoint, the compute gate, and the structured progress feed, which
+// also tallies the job's cache hits and misses from each cell's outcome.
 func (s *Server) campaignOpts(job *Job) campaign.Options {
-	copts := campaign.Options{
+	return campaign.Options{
 		Workers:     s.opts.workers(),
 		Retries:     s.opts.Retries,
 		CellTimeout: s.opts.CellTimeout,
+		Store:       s.store,
 		Exec:        s.execFor(job),
 		OnProgress: func(ev runner.ProgressEvent) {
+			if o, ok := ev.Value.(campaign.Outcome); ok {
+				job.tally(o)
+			}
 			job.completed.Store(int64(ev.Completed))
 			job.failed.Store(int64(ev.Failed))
 			fields := map[string]any{
@@ -245,10 +243,6 @@ func (s *Server) campaignOpts(job *Job) campaign.Options {
 			s.logLine("cell", fields)
 		},
 	}
-	if s.opts.JournalDir != "" {
-		copts.Journal = s.journalPath(job.ID)
-	}
-	return copts
 }
 
 // MetricsSnapshot is the /metrics document: memo-store counters plus pool

@@ -16,6 +16,7 @@ import (
 	"invisispec/internal/campaign"
 	"invisispec/internal/config"
 	"invisispec/internal/engine"
+	"invisispec/internal/memo"
 	"invisispec/internal/runner"
 )
 
@@ -201,6 +202,55 @@ func TestSweepByteIdentityAndCache(t *testing.T) {
 	}
 	if m.Cache.Hits < 3 || m.Cache.Misses != 3 {
 		t.Errorf("store hits/misses = %d/%d, want >=3/3", m.Cache.Hits, m.Cache.Misses)
+	}
+}
+
+// TestOneStoreCLICheckpointSeedsServer: a CLI campaign checkpointed into a
+// directory and a server caching in that directory share one store. The
+// server serves the same sweep without computing a single cell, and its
+// artifact is byte-identical to the direct run's.
+func TestOneStoreCLICheckpointSeedsServer(t *testing.T) {
+	req := smallSweep()
+	if err := req.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	defs, err := parseDefenseList(req.Defenses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cms, err := config.ParseConsistencies(req.Consistency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := memo.Open(dir, memo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, _, err := campaign.RunBench(context.Background(), campaign.BenchSweep{
+		Campaign: "cli", Name: req.Name, Warmup: req.Warmup, Measure: req.Measure,
+		Jobs:   runner.Matrix(req.Workloads, req.Parsec, cms, defs, req.Seeds, req.Warmup, req.Measure),
+		Kernel: engine.KernelFast,
+	}, campaign.Options{Workers: 2, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := runner.WriteBenchJSON(&want, b); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, func(o *Options) { o.CacheDir = dir })
+	defer s.Drain(context.Background())
+	st := waitTerminal(t, ts, submit(t, ts, smallSweep()).ID)
+	if st.State != StateDone {
+		t.Fatalf("job state %s (error %q)", st.State, st.Error)
+	}
+	if st.Cache.Misses != 0 || st.Cache.Hits != 3 {
+		t.Errorf("server over the CLI checkpoint: hits/misses = %d/%d, want 3/0", st.Cache.Hits, st.Cache.Misses)
+	}
+	if _, got := fetch(t, ts, "/api/v1/jobs/"+st.ID+"/artifact"); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("server artifact differs from the checkpointed CLI run's:\nserver: %s\ncli:    %s", got, want.Bytes())
 	}
 }
 

@@ -29,7 +29,7 @@ type TraceWorkload struct {
 	t *trace.Trace
 }
 
-// Name is the trace header's name — the registry key and the journal
+// Name is the trace header's name — the registry key and the checkpoint
 // identity, independent of the file path the trace was loaded from.
 func (w *TraceWorkload) Name() string { return w.t.Name }
 
@@ -139,7 +139,7 @@ func ImportDir(dir string) ([]string, error) {
 // directories propagate to re-executed campaign cell workers: the parent
 // process sets it (SetImportDirs) before spawning, the worker inherits
 // the environment and calls ImportFromEnv before serving cells, and both
-// sides end up with the identical registry the journal identities assume.
+// sides end up with the identical registry the checkpoint keys assume.
 const EnvImportDirs = "INVISISPEC_IMPORT"
 
 var importEnvOnce sync.Once

@@ -47,9 +47,9 @@ func (c Class) String() string {
 // per-core programs plus the metadata the harnesses need to size the
 // machine. Programs must be deterministic — two calls with the same core
 // count return byte-equivalent programs, which is what keeps bench
-// artifacts identical across workers and journal identities stable.
+// artifacts identical across workers and checkpoint keys stable.
 type Workload interface {
-	// Name is the registry key and the name campaign journals record;
+	// Name is the registry key and the name campaign checkpoint keys hash;
 	// it must stay stable across runs for memoization to hold.
 	Name() string
 	// Class selects which default suites and matrices include the entry.
