@@ -10,7 +10,7 @@ JOBS ?= 4
 BIN = bin
 SMOKE_FLAGS = -fig 4 -warmup 5000 -measure 20000 -jobs $(JOBS) -quiet
 
-.PHONY: all build tools test vet lint race check ci bench perf smoke benchdiff baseline leakscan leaksearch kernelcheck conform chaos serve
+.PHONY: all build tools test vet lint race check ci bench perf smoke benchdiff identity baseline leakscan leaksearch kernelcheck conform chaos serve
 
 all: build
 
@@ -120,6 +120,14 @@ leaksearch: tools
 # the normal test suite.
 conform: tools
 	$(BIN)/conformfuzz -seed 1 -n 200 -jobs $(JOBS) -q -shrink -json CONFORM_smoke.json
+
+# Byte-identity gate: the short-budget Figure-4 sweep without the host
+# block must reproduce the committed baseline byte for byte. A host-speed
+# change that alters any simulated result fails here; an intentional
+# timing-model change regenerates the baseline (`make baseline`) instead.
+identity: tools
+	$(BIN)/benchtable $(SMOKE_FLAGS) -benchjson $(BIN)/BENCH_identity.json -benchname smoke -benchhost=false
+	cmp $(BIN)/BENCH_identity.json BENCH_baseline.json
 
 # Regenerate the committed baseline (host block omitted so the artifact is
 # byte-stable across machines). Run after intentional timing-model changes,

@@ -39,10 +39,15 @@ type Predictor struct {
 	local  []uint8 // 2-bit saturating counters indexed by PC
 	global []uint8 // 2-bit counters indexed by PC ^ history
 	choice []uint8 // 2-bit chooser: >=2 selects global
+	// btb is allocated by the first TrainTarget: many programs have no
+	// indirect jump, and its entries are most of a predictor's memory.
 	btb    []btbEntry
 	ghr    uint64 // speculative global history (youngest outcome in bit 0)
 	ras    []int
 	rasTop int // index of next push slot
+	// rasShared marks ras as also held by a snapshot: snapshots share the
+	// stack copy-on-write, so the next PushRAS clones it first.
+	rasShared bool
 
 	// Stats.
 	CondPredicts   uint64
@@ -67,7 +72,6 @@ func New(cfg Config) *Predictor {
 		local:  make([]uint8, 1<<cfg.LocalBits),
 		global: make([]uint8, 1<<cfg.GlobalBits),
 		choice: make([]uint8, 1<<cfg.ChoiceBits),
-		btb:    make([]btbEntry, cfg.BTBEntries),
 		ras:    make([]int, cfg.RASEntries),
 	}
 }
@@ -80,9 +84,12 @@ type State struct {
 }
 
 // Snapshot captures the speculative state (history and RAS) so that it can
-// be restored after a squash.
+// be restored after a squash. The snapshot shares the live RAS; PushRAS, the
+// only writer of RAS entries, clones the stack before writing while it is
+// shared, so a snapshot never changes after it is taken.
 func (p *Predictor) Snapshot() State {
-	return State{ghr: p.ghr, ras: append([]int(nil), p.ras...), rasTop: p.rasTop}
+	p.rasShared = true
+	return State{ghr: p.ghr, ras: p.ras, rasTop: p.rasTop}
 }
 
 // GHR returns the global history captured in the snapshot; the core trains
@@ -90,10 +97,13 @@ func (p *Predictor) Snapshot() State {
 // the branch predicted.
 func (s State) GHR() uint64 { return s.ghr }
 
-// Restore rewinds speculative state to a previously captured snapshot.
+// Restore rewinds speculative state to a previously captured snapshot. It
+// adopts the snapshot's RAS, which stays shared with the snapshot (it may be
+// restored again).
 func (p *Predictor) Restore(s State) {
 	p.ghr = s.ghr
-	copy(p.ras, s.ras)
+	p.ras = s.ras
+	p.rasShared = true
 	p.rasTop = s.rasTop
 }
 
@@ -151,9 +161,10 @@ func (p *Predictor) PredictCond(pc int) bool {
 // missing target).
 func (p *Predictor) PredictIndirect(pc int) (target int, ok bool) {
 	p.BTBLookups++
-	e := p.btb[pc%len(p.btb)]
-	if e.valid && e.pc == pc {
-		return e.target, true
+	if p.btb != nil {
+		if e := p.btb[pc%len(p.btb)]; e.valid && e.pc == pc {
+			return e.target, true
+		}
 	}
 	p.BTBMisses++
 	return 0, false
@@ -161,6 +172,10 @@ func (p *Predictor) PredictIndirect(pc int) (target int, ok bool) {
 
 // PushRAS records a call's return address.
 func (p *Predictor) PushRAS(returnPC int) {
+	if p.rasShared {
+		p.ras = append([]int(nil), p.ras...)
+		p.rasShared = false
+	}
 	p.ras[p.rasTop] = returnPC
 	p.rasTop = (p.rasTop + 1) % len(p.ras)
 }
@@ -189,6 +204,9 @@ func (p *Predictor) TrainCond(pc int, outcome bool, ghrAtPredict uint64) {
 
 // TrainTarget installs the resolved target of an indirect jump in the BTB.
 func (p *Predictor) TrainTarget(pc, target int) {
+	if p.btb == nil {
+		p.btb = make([]btbEntry, p.cfg.BTBEntries)
+	}
 	p.btb[pc%len(p.btb)] = btbEntry{pc: pc, target: target, valid: true}
 }
 

@@ -253,3 +253,89 @@ func TestRASDeepNestSquashRestore(t *testing.T) {
 		}
 	}
 }
+
+// refRAS is a deep-copy reference model of the predictor's speculative
+// state: every snapshot copies the stack, every restore copies it back.
+type refRAS struct {
+	ghr uint64
+	ras []int
+	top int
+}
+
+func (r *refRAS) clone() refRAS {
+	return refRAS{ghr: r.ghr, ras: append([]int(nil), r.ras...), top: r.top}
+}
+
+// TestCopyOnWriteRASMatchesDeepCopy drives random push/pop/predict/
+// snapshot/restore sequences against the deep-copy reference: every pop
+// and every restored state must agree, including restores of old snapshots
+// taken before later pushes, and restoring the same snapshot twice.
+func TestCopyOnWriteRASMatchesDeepCopy(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := DefaultConfig()
+		cfg.RASEntries = 1 + rng.Intn(8)
+		p := New(cfg)
+		ref := refRAS{ras: make([]int, cfg.RASEntries)}
+		var snaps []State
+		var refSnaps []refRAS
+		for step := 0; step < 2000; step++ {
+			switch op := rng.Intn(6); op {
+			case 0, 1:
+				v := rng.Intn(1 << 20)
+				p.PushRAS(v)
+				ref.ras[ref.top] = v
+				ref.top = (ref.top + 1) % len(ref.ras)
+			case 2:
+				ref.top = (ref.top - 1 + len(ref.ras)) % len(ref.ras)
+				if got, want := p.PopRAS(), ref.ras[ref.top]; got != want {
+					t.Fatalf("seed %d step %d: PopRAS = %d, reference %d", seed, step, got, want)
+				}
+			case 3:
+				taken := p.PredictCond(rng.Intn(64))
+				ref.ghr <<= 1
+				if taken {
+					ref.ghr |= 1
+				}
+			case 4:
+				snaps = append(snaps, p.Snapshot())
+				refSnaps = append(refSnaps, ref.clone())
+			case 5:
+				if len(snaps) == 0 {
+					continue
+				}
+				i := rng.Intn(len(snaps))
+				p.Restore(snaps[i])
+				ref = refSnaps[i].clone()
+				if rng.Intn(2) == 0 {
+					// Squashes discard the younger snapshots.
+					snaps, refSnaps = snaps[:i+1], refSnaps[:i+1]
+				}
+			}
+			if p.ghr != ref.ghr || p.rasTop != ref.top {
+				t.Fatalf("seed %d step %d: ghr/top %#x/%d, reference %#x/%d", seed, step, p.ghr, p.rasTop, ref.ghr, ref.top)
+			}
+			for i := range ref.ras {
+				if p.ras[i] != ref.ras[i] {
+					t.Fatalf("seed %d step %d: ras %v, reference %v", seed, step, p.ras, ref.ras)
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotDoesNotAllocate: a snapshot at every predicted branch shares
+// the RAS; only a push after it copies the stack.
+func TestSnapshotDoesNotAllocate(t *testing.T) {
+	p := New(DefaultConfig())
+	p.PushRAS(1)
+	var s State
+	if n := testing.AllocsPerRun(100, func() {
+		s = p.Snapshot()
+		p.PredictCond(3)
+		p.PopRAS()
+		p.Restore(s)
+	}); n != 0 {
+		t.Fatalf("snapshot/predict/pop/restore allocates %v times per run, want 0", n)
+	}
+}

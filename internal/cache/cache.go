@@ -12,17 +12,18 @@ package cache
 import "fmt"
 
 // Line is one cache line's tag and coherence metadata. State is owned by the
-// coherence protocol (package coherence defines the MESI encoding).
+// coherence protocol (package coherence defines the MESI encoding). The
+// one-byte fields come last so a Line packs into 32 bytes.
 type Line struct {
 	LineNum uint64 // address >> log2(lineSize)
-	Valid   bool
-	Dirty   bool
-	State   uint8
 	// Sharers is used only by directory entries embedded in LLC lines: a
 	// bitmap of cores holding the line.
 	Sharers uint64
 	// Owner is the core that holds the line in E/M, or -1.
 	Owner int
+	Valid bool
+	Dirty bool
+	State uint8
 	// Prefetched marks an L1 line installed by the hardware prefetcher and
 	// not yet demand-touched (the trigger tag of a tagged next-line
 	// prefetcher).
@@ -30,12 +31,25 @@ type Line struct {
 }
 
 // Array is a set-associative cache with true-LRU replacement.
+//
+// A set's lines are allocated when the set first takes a line, carved from
+// chunks of chunkSets sets in first-touch order. A short run (an attack
+// trial, a conformance case) touches a few hundred of an LLC bank's 2048
+// sets; allocating all of a bank's 32768 lines up front made the arrays
+// most of such a run's allocation, and the garbage collector's work with
+// it. Which sets hold storage is not observable through the API.
 type Array struct {
 	sets  int
 	ways  int
-	lines []Line  // sets*ways, row-major by set
-	lru   []uint8 // per line: 0 = MRU, ways-1 = LRU
+	rows  [][]Line // per set, nil until the set first takes a line
+	spare []Line   // the unassigned tail of the last chunk
+	// lru is sets*ways, row-major by set: 0 = MRU, ways-1 = LRU. A set's
+	// ranks are set when the set gets its row.
+	lru []uint8
 }
+
+// chunkSets is how many sets' lines one allocation provides.
+const chunkSets = 16
 
 // NewArray builds an array with the given geometry. Sets must be a power of
 // two.
@@ -46,18 +60,12 @@ func NewArray(sets, ways int) *Array {
 	if ways <= 0 {
 		panic(fmt.Sprintf("cache: ways %d must be positive", ways))
 	}
-	a := &Array{
-		sets:  sets,
-		ways:  ways,
-		lines: make([]Line, sets*ways),
-		lru:   make([]uint8, sets*ways),
+	return &Array{
+		sets: sets,
+		ways: ways,
+		rows: make([][]Line, sets),
+		lru:  make([]uint8, sets*ways),
 	}
-	for s := 0; s < sets; s++ {
-		for w := 0; w < ways; w++ {
-			a.lru[s*ways+w] = uint8(w)
-		}
-	}
-	return a
 }
 
 // Sets returns the number of sets.
@@ -68,15 +76,32 @@ func (a *Array) Ways() int { return a.ways }
 
 func (a *Array) setOf(lineNum uint64) int { return int(lineNum) & (a.sets - 1) }
 
+// row returns set s's lines, giving the set storage (all ways invalid, LRU
+// order by way index) on first use.
+func (a *Array) row(s int) []Line {
+	if r := a.rows[s]; r != nil {
+		return r
+	}
+	if len(a.spare) < a.ways {
+		a.spare = make([]Line, min(chunkSets, a.sets)*a.ways)
+	}
+	r := a.spare[:a.ways:a.ways]
+	a.spare = a.spare[a.ways:]
+	a.rows[s] = r
+	base := s * a.ways
+	for w := range r {
+		a.lru[base+w] = uint8(w)
+	}
+	return r
+}
+
 // Lookup returns the line holding lineNum, or nil. It does NOT update
 // replacement state (see package comment).
 func (a *Array) Lookup(lineNum uint64) *Line {
-	s := a.setOf(lineNum)
-	base := s * a.ways
-	for w := 0; w < a.ways; w++ {
-		l := &a.lines[base+w]
-		if l.Valid && l.LineNum == lineNum {
-			return l
+	r := a.rows[a.setOf(lineNum)]
+	for w := range r {
+		if r[w].Valid && r[w].LineNum == lineNum {
+			return &r[w]
 		}
 	}
 	return nil
@@ -85,9 +110,9 @@ func (a *Array) Lookup(lineNum uint64) *Line {
 // Touch promotes lineNum to MRU. It is a no-op if the line is absent.
 func (a *Array) Touch(lineNum uint64) {
 	s := a.setOf(lineNum)
-	base := s * a.ways
-	for w := 0; w < a.ways; w++ {
-		if a.lines[base+w].Valid && a.lines[base+w].LineNum == lineNum {
+	r := a.rows[s]
+	for w := range r {
+		if r[w].Valid && r[w].LineNum == lineNum {
 			a.promote(s, w)
 			return
 		}
@@ -105,22 +130,21 @@ func (a *Array) promote(set, way int) {
 	a.lru[base+way] = 0
 }
 
-// Victim returns a pointer to the line that Insert would replace for
-// lineNum: an invalid way if one exists, otherwise the LRU way. The caller
-// can inspect it (e.g. to issue a writeback) before inserting.
-func (a *Array) Victim(lineNum uint64) *Line {
-	s := a.setOf(lineNum)
-	base := s * a.ways
+// victim returns the way Insert would replace in set s: an invalid way if
+// one exists, otherwise the LRU way.
+func (a *Array) victim(s int) int {
+	r := a.row(s)
 	// Prefer an invalid way.
-	for w := 0; w < a.ways; w++ {
-		if !a.lines[base+w].Valid {
-			return &a.lines[base+w]
+	for w := range r {
+		if !r[w].Valid {
+			return w
 		}
 	}
 	// Otherwise the LRU way.
-	for w := 0; w < a.ways; w++ {
+	base := s * a.ways
+	for w := range r {
 		if int(a.lru[base+w]) == a.ways-1 {
-			return &a.lines[base+w]
+			return w
 		}
 	}
 	panic("cache: no victim found") // unreachable: LRU orders are a permutation
@@ -134,21 +158,15 @@ func (a *Array) Insert(lineNum uint64) (inserted *Line, evicted Line, hadEvictio
 		a.Touch(lineNum)
 		return l, Line{}, false
 	}
-	v := a.Victim(lineNum)
+	s := a.setOf(lineNum)
+	w := a.victim(s)
+	v := &a.rows[s][w]
 	if v.Valid {
 		evicted = *v
 		hadEviction = true
 	}
 	*v = Line{LineNum: lineNum, Valid: true, Owner: -1}
-	// Find the way index to promote.
-	s := a.setOf(lineNum)
-	base := s * a.ways
-	for w := 0; w < a.ways; w++ {
-		if &a.lines[base+w] == v {
-			a.promote(s, w)
-			break
-		}
-	}
+	a.promote(s, w)
 	return v, evicted, hadEviction
 }
 
@@ -156,11 +174,10 @@ func (a *Array) Insert(lineNum uint64) (inserted *Line, evicted Line, hadEvictio
 // is the next victim. It reports whether the line was present.
 func (a *Array) Invalidate(lineNum uint64) bool {
 	s := a.setOf(lineNum)
-	base := s * a.ways
-	for w := 0; w < a.ways; w++ {
-		l := &a.lines[base+w]
-		if l.Valid && l.LineNum == lineNum {
-			*l = Line{}
+	r := a.rows[s]
+	for w := range r {
+		if r[w].Valid && r[w].LineNum == lineNum {
+			r[w] = Line{}
 			a.demote(s, w)
 			return true
 		}
@@ -181,9 +198,11 @@ func (a *Array) demote(set, way int) {
 
 // ForEach calls fn on every valid line. fn must not insert or invalidate.
 func (a *Array) ForEach(fn func(*Line)) {
-	for i := range a.lines {
-		if a.lines[i].Valid {
-			fn(&a.lines[i])
+	for _, r := range a.rows {
+		for w := range r {
+			if r[w].Valid {
+				fn(&r[w])
+			}
 		}
 	}
 }
@@ -191,11 +210,7 @@ func (a *Array) ForEach(fn func(*Line)) {
 // Count returns the number of valid lines (for tests and occupancy checks).
 func (a *Array) Count() int {
 	n := 0
-	for i := range a.lines {
-		if a.lines[i].Valid {
-			n++
-		}
-	}
+	a.ForEach(func(*Line) { n++ })
 	return n
 }
 
@@ -204,11 +219,12 @@ func (a *Array) Count() int {
 // assert that Spec-GetS never perturbs it.
 func (a *Array) LRUOrder(set int) []uint64 {
 	out := make([]uint64, 0, a.ways)
-	for rank := 0; rank < a.ways; rank++ {
-		base := set * a.ways
-		for w := 0; w < a.ways; w++ {
-			if int(a.lru[base+w]) == rank && a.lines[base+w].Valid {
-				out = append(out, a.lines[base+w].LineNum)
+	r := a.rows[set]
+	base := set * a.ways
+	for rank := 0; rank < len(r); rank++ {
+		for w := range r {
+			if int(a.lru[base+w]) == rank && r[w].Valid {
+				out = append(out, r[w].LineNum)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestInsertLookup(t *testing.T) {
@@ -155,32 +156,75 @@ func (m *quickLRU) access(ln uint64) {
 func (m *quickLRU) contents(s int) []uint64 { return m.order[s] }
 
 func TestArrayMatchesReferenceLRU(t *testing.T) {
-	const sets, ways = 4, 4
-	a := NewArray(sets, ways)
-	ref := newQuickLRU(sets, ways)
-	f := func(accesses []uint16) bool {
-		for _, x := range accesses {
-			ln := uint64(x % 64)
-			a.Insert(ln)
-			ref.access(ln)
-		}
-		for s := 0; s < sets; s++ {
-			got := a.LRUOrder(s)
-			want := ref.contents(s)
-			if len(got) != len(want) {
-				return false
+	// 64 sets span several chunks of rows, given out in first-touch order.
+	for _, g := range []struct{ sets, ways int }{{4, 4}, {64, 4}} {
+		a := NewArray(g.sets, g.ways)
+		ref := newQuickLRU(g.sets, g.ways)
+		f := func(accesses []uint16) bool {
+			for _, x := range accesses {
+				ln := uint64(x % uint16(16*g.sets))
+				a.Insert(ln)
+				ref.access(ln)
 			}
-			for i := range got {
-				if got[i] != want[i] {
+			for s := 0; s < g.sets; s++ {
+				got := a.LRUOrder(s)
+				want := ref.contents(s)
+				if len(got) != len(want) {
 					return false
 				}
+				for i := range got {
+					if got[i] != want[i] {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(11))}
+		if err := quick.Check(f, cfg); err != nil {
+			t.Fatalf("%dx%d: %v", g.sets, g.ways, err)
+		}
+	}
+}
+
+// TestRowsAllocatedOnFirstInsert checks a set gets storage only when it
+// takes a line: probes of untouched sets allocate nothing and find nothing.
+func TestRowsAllocatedOnFirstInsert(t *testing.T) {
+	const sets, ways = 2048, 16
+	a := NewArray(sets, ways)
+	rows := func() int {
+		n := 0
+		for _, r := range a.rows {
+			if r != nil {
+				n++
 			}
 		}
-		return true
+		return n
 	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(11))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
+	a.Touch(5)
+	if a.Lookup(5) != nil || a.Invalidate(5) || len(a.LRUOrder(5)) != 0 || a.Count() != 0 || rows() != 0 {
+		t.Fatal("probing an empty array found a line or gave a set storage")
+	}
+	// One line in each of 40 sets, every 32nd set: more sets than a chunk.
+	for i := uint64(0); i < 40; i++ {
+		a.Insert(i * 32)
+	}
+	if rows() != 40 || a.Count() != 40 {
+		t.Fatalf("%d rows, %d lines after filling 40 sets", rows(), a.Count())
+	}
+	for i := uint64(0); i < 40; i++ {
+		if l := a.Lookup(i * 32); l == nil || l.Owner != -1 {
+			t.Fatalf("line %d lost or aliased", i*32)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { a.Lookup(7); a.Touch(7) }); allocs != 0 || rows() != 40 {
+		t.Fatalf("probing an untouched set allocated (%v allocs, %d rows)", allocs, rows())
+	}
+}
+
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n > 32 {
+		t.Fatalf("Line is %d bytes, want at most 32: an LLC bank holds 32768 of them", n)
 	}
 }
 

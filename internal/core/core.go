@@ -78,10 +78,14 @@ type Core struct {
 	// read by consumers whose producer retired (srcValue).
 	retVal []uint64
 	// fencesPending counts ROB entries that are fence-like and not yet
-	// fenceDone; execDue is a lower bound on the execDoneAt of every
-	// stExecuting entry. Both gate per-cycle ROB scans (wake.go).
+	// fenceDone; it gates the per-cycle fence scan (wake.go).
 	fencesPending int
-	execDue       uint64
+	// Wakeup-driven scheduling state (sched.go): bitsets over physical ROB
+	// slots, and per slot the consumers registered on it (schedWords words
+	// each).
+	ready, barrier, execing slotSet
+	waiters                 []uint64
+	schedWords              int
 
 	lq     []lqEntry
 	lqHead int
@@ -162,6 +166,7 @@ func New(id int, run config.Run, prog *isa.Program, mem *isa.Memory,
 	// ifetchDone stops decoding once the buffer holds 4*FetchWidth entries.
 	c.fetchMem = make([]fetchedInst, 4*cfg.FetchWidth+1)
 	c.fetchBuf = c.fetchMem[:0]
+	c.initSched(cfg.ROBEntries)
 	for i := range c.rat {
 		c.rat[i] = -1
 	}

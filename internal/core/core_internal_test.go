@@ -419,3 +419,210 @@ func TestQueueWindowsWrap(t *testing.T) {
 		}
 	}
 }
+
+// everyRun runs prog under every registered defense and both consistency
+// models on the default one-core machine, with the golden comparison and
+// the per-tick structural audit of runDirected. observe sees every tick of
+// every run; the scenario tests below record which runs reached them.
+func everyRun(t *testing.T, prog *isa.Program, observe func(run config.Run, c *Core)) {
+	t.Helper()
+	for _, run := range everyConfig() {
+		runDirected(t, run, prog, func(c *Core) { observe(run, c) })
+	}
+}
+
+func everyConfig() []config.Run {
+	var runs []config.Run
+	for _, d := range config.AllDefenses() {
+		for _, m := range []config.Consistency{config.TSO, config.RC} {
+			runs = append(runs, config.Run{Machine: config.Default(1), Defense: d, Consistency: m})
+		}
+	}
+	return runs
+}
+
+// TestFenceCompletesFromDispatched: under RC an acquire completes as soon as
+// every older load has performed, so updateFenceCompletion completes one
+// dispatched behind a long divide at the start of the next tick, before
+// issue ever selects it. complete must drop it from the ready set (the
+// per-tick audit recomputes the set).
+func TestFenceCompletesFromDispatched(t *testing.T) {
+	prog := isa.NewBuilder("fence-from-dispatched").
+		Li(1, 1000).
+		Li(2, 7).
+		Div(3, 1, 2). // holds retirement while the acquire completes
+		Acquire().
+		AddI(4, 3, 1).
+		Release().
+		AddI(5, 4, 1).
+		Halt().
+		MustBuild()
+	reached := map[config.Run]bool{}
+	dispatched := map[uint64]bool{} // fence-like seqs dispatched after the previous tick
+	everyRun(t, prog, func(run config.Run, c *Core) {
+		now := map[uint64]bool{}
+		for i := 0; i < c.robCnt; i++ {
+			e := c.robAt(i)
+			if !isFenceLike(e) {
+				continue
+			}
+			switch {
+			case e.st == stDispatched:
+				now[e.seq] = true
+			case e.st == stCompleted && dispatched[e.seq]:
+				// Issue moves a fence to stWaitMem, which completes a tick
+				// later at the earliest: this one skipped issue.
+				reached[run] = true
+			}
+		}
+		dispatched = now
+	})
+	for _, run := range []config.Run{
+		{Machine: config.Default(1), Defense: config.Base, Consistency: config.RC},
+		{Machine: config.Default(1), Defense: config.ISFuture, Consistency: config.RC},
+	} {
+		if !reached[run] {
+			t.Errorf("%v: no fence completed straight from stDispatched", run)
+		}
+	}
+}
+
+// TestBlockedSyntheticFenceDoesNotBlock: a synthetic (defense) fence that
+// issue skips because an older incomplete atomic or real fence blocks
+// memory operations and fences must not itself block younger entries, so
+// an independent ALU op behind it still issues while both stay incomplete.
+func TestBlockedSyntheticFenceDoesNotBlock(t *testing.T) {
+	prog := isa.NewBuilder("blocked-fence").
+		DataU64(0x9000, 5, 6).
+		Li(1, 0x8000).
+		Li(2, 1).
+		Li(5, 0x9000).
+		Ld(8, 7, 1, 0x40). // cold miss: the atomic waits behind it
+		RMW(8, 3, 5, 2).   // incomplete atomic
+		Ld(8, 6, 5, 0).    // Fe-Fu puts a synthetic fence before it
+		AddI(9, 9, 1).     // must issue past the blocked synthetic fence
+		Ld(8, 4, 1, 0x80). // cold miss: the fence waits behind it
+		Fence().           // incomplete real fence
+		Ld(8, 6, 5, 8).
+		AddI(10, 10, 1).
+		Halt().
+		MustBuild()
+	viaRMW := map[config.Run]bool{}
+	viaFence := map[config.Run]bool{}
+	everyRun(t, prog, func(run config.Run, c *Core) {
+		rmw, fence := false, false // incomplete real barriers older than i
+		for i := 0; i < c.robCnt; i++ {
+			e := c.robAt(i)
+			switch {
+			case e.inst.Op == isa.OpRMW && e.st != stCompleted:
+				rmw = true
+			case e.inst.Op == isa.OpFence && !e.synthetic && !e.fenceDone:
+				fence = true
+			case e.synthetic && e.st == stDispatched && rmw != fence:
+				for k := i + 1; k < c.robCnt; k++ {
+					if y := c.robAt(k); y.inst.Op == isa.OpAddI && y.st != stDispatched {
+						viaRMW[run] = viaRMW[run] || rmw
+						viaFence[run] = viaFence[run] || fence
+					}
+				}
+			}
+		}
+	})
+	for _, m := range []config.Consistency{config.TSO, config.RC} {
+		run := config.Run{Machine: config.Default(1), Defense: config.FenceFuture, Consistency: m}
+		if !viaRMW[run] || !viaFence[run] {
+			t.Errorf("%v: younger ALU op never issued past a blocked synthetic fence (behind atomic %v, behind fence %v)",
+				run, viaRMW[run], viaFence[run])
+		}
+	}
+}
+
+// TestSameTickWakeup: a dependent ALU chain issues back to back. The
+// consumer is selected in the very tick completeExec completes its
+// producer, so the wakeup must be visible to that tick's issue walk.
+func TestSameTickWakeup(t *testing.T) {
+	prog := isa.NewBuilder("same-tick").
+		Li(1, 3).
+		AddI(2, 1, 1).
+		Xor(3, 2, 1).
+		AddI(4, 3, 1).
+		Mul(5, 4, 4).
+		AddI(6, 5, 1).
+		Halt().
+		MustBuild()
+	reached := map[config.Run]bool{}
+	everyRun(t, prog, func(run config.Run, c *Core) {
+		for i := 0; i+1 < c.robCnt; i++ {
+			p, q := c.robAt(i), c.robAt(i+1)
+			if p.inst.Op.HasDest() && q.inst.Rs1 == p.inst.Rd &&
+				p.st == stCompleted && p.execDoneAt == c.now &&
+				q.st == stExecuting && q.execDoneAt > c.now && q.execDoneAt-c.now == uint64(c.cfg.LatALU) {
+				reached[run] = true
+			}
+		}
+	})
+	for _, run := range everyConfig() {
+		if !reached[run] {
+			t.Errorf("%v: no consumer issued in its producer's completion tick", run)
+		}
+	}
+}
+
+// TestStaleWakeupAfterSlotReuse: a wrong-path consumer registers on a load
+// still waiting on a cold miss, is squashed by a mispredicted branch, and
+// its slot is refilled by a correct-path load that waits on a second load,
+// which in turn waits on the first. When the first load completes, its
+// waiter set still names the reused slot; the wakeup must re-check the new
+// occupant and leave it out of the ready set (the per-tick audit
+// recomputes the set).
+func TestStaleWakeupAfterSlotReuse(t *testing.T) {
+	prog := isa.NewBuilder("stale-wakeup").
+		DataU64(0x9000, 0x1234).
+		Li(1, 0x9000).
+		Li(2, 4).
+		Ld(8, 7, 1, 0).      // P: cold miss
+		Ld(8, 11, 7, 0x200). // Q: issues once P completes
+		Beq(2, 2, "ok").     // taken; a cold predictor says not-taken
+		AddI(8, 7, 1).       // wrong path: registers on P
+		AddI(8, 8, 1).
+		Label("ok").
+		Ld(8, 10, 11, 0). // refills the squashed consumer's slot, waits on Q
+		AddI(12, 7, 2).   // a real consumer of P
+		Halt().
+		MustBuild()
+	type stale struct {
+		slot, occupant int
+		seq, occSeq    uint64
+	}
+	found := map[config.Run]stale{}
+	reached := map[config.Run]bool{}
+	everyRun(t, prog, func(run config.Run, c *Core) {
+		if r, ok := found[run]; ok {
+			p, o := &c.rob[r.slot], &c.rob[r.occupant]
+			if p.seq == r.seq && p.st == stCompleted && o.valid && o.seq == r.occSeq && o.st == stDispatched {
+				reached[run] = true // P completed; the occupant still waits
+			}
+			return
+		}
+		for i := 0; i < c.robCnt; i++ {
+			p := c.robAt(i)
+			if p.inst.Op != isa.OpLoad || p.st == stCompleted {
+				continue
+			}
+			slot := c.robPhys(i)
+			for q := range c.rob {
+				o := &c.rob[q]
+				names := o.src1Rob == slot && o.src1Seq == p.seq || o.src2Rob == slot && o.src2Seq == p.seq
+				if c.waitersOf(slot).has(q) && o.valid && !names && o.st == stDispatched && !c.ready.has(q) {
+					found[run] = stale{slot, q, p.seq, o.seq}
+				}
+			}
+		}
+	})
+	for _, m := range []config.Consistency{config.TSO, config.RC} {
+		run := config.Run{Machine: config.Default(1), Defense: config.Base, Consistency: m}
+		if !reached[run] {
+			t.Errorf("%v: no producer completed while a stale registration named a waiting occupant", run)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"invisispec/internal/config"
+	"invisispec/internal/isa"
 )
 
 // This file exposes read-only views of the core's in-flight state for the
@@ -149,9 +150,10 @@ func (c *Core) StructuralCheck() error {
 
 // checkMirrors recomputes the incremental ROB state from the window and
 // compares: fencesPending equals the number of incomplete fence-like
-// entries; execDue is at most every executing entry's execDoneAt; and every
-// live rename reference names its producer's slot and seq, or a seq older
-// than the ROB head's (the producer retired and srcValue reads retVal).
+// entries; every live rename reference names its producer's slot and seq,
+// or a seq older than the ROB head's (the producer retired and srcValue
+// reads retVal); and the scheduling sets (sched.go) hold exactly their
+// members, with every bit outside the window clear.
 func (c *Core) checkMirrors() error {
 	pending := 0
 	var headSeq uint64
@@ -162,10 +164,6 @@ func (c *Core) checkMirrors() error {
 		e := c.robAt(i)
 		if isFenceLike(e) && !e.fenceDone {
 			pending++
-		}
-		if e.st == stExecuting && e.execDoneAt < c.execDue {
-			return fmt.Errorf("core%d: rob[%d] completes at cycle %d, below the exec-due bound %d",
-				c.id, i, e.execDoneAt, c.execDue)
 		}
 		for _, ref := range [2]struct {
 			slot int
@@ -184,6 +182,31 @@ func (c *Core) checkMirrors() error {
 	if pending != c.fencesPending {
 		return fmt.Errorf("core%d: pending-fence count %d, ROB holds %d incomplete fences",
 			c.id, c.fencesPending, pending)
+	}
+	return c.checkSched()
+}
+
+// checkSched recomputes each scheduling set's membership for every bit
+// position (physical slots and the padding of the last word).
+func (c *Core) checkSched() error {
+	for p := 0; p < 64*c.schedWords; p++ {
+		var ready, barrier, execing bool
+		if p < len(c.rob) && c.robLogical(p) < c.robCnt {
+			e := &c.rob[p]
+			ready = c.isReady(e)
+			barrier = isFenceLike(e) && !e.fenceDone || e.inst.Op == isa.OpRMW && e.st != stCompleted
+			execing = e.st == stExecuting
+		}
+		for _, set := range [3]struct {
+			name string
+			s    slotSet
+			want bool
+		}{{"ready", c.ready, ready}, {"barrier", c.barrier, barrier}, {"executing", c.execing, execing}} {
+			if got := set.s.has(p); got != set.want {
+				return fmt.Errorf("core%d: %s set has slot %d = %v, the ROB window says %v (head %d, count %d)",
+					c.id, set.name, p, got, set.want, c.robHead, c.robCnt)
+			}
+		}
 	}
 	return nil
 }
@@ -236,3 +259,10 @@ func (c *Core) InjectRetireStall() { c.retireStalled = true }
 // which proves StructuralCheck recomputes the count; nothing in normal
 // operation calls it.
 func (c *Core) InjectFenceCountSkew() { c.fencesPending++ }
+
+// InjectReadySkew flips the ready-set bit of the ROB head's slot, so the
+// set disagrees with the window whether or not that slot is occupied. It
+// exists ONLY for the mutation self-test in internal/invariant, which proves
+// StructuralCheck recomputes the scheduling sets; nothing in normal
+// operation calls it.
+func (c *Core) InjectReadySkew() { c.ready[c.robHead>>6] ^= 1 << uint(c.robHead&63) }

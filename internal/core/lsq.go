@@ -169,7 +169,7 @@ func (c *Core) flushStep() {
 		return
 	}
 	c.hier.FlushLine(e.src1Val + uint64(e.inst.Imm))
-	e.st = stCompleted
+	c.complete(c.robHead)
 }
 
 // translateStep runs the D-TLB for a load. Conventional configurations
@@ -370,7 +370,7 @@ func (c *Core) markPerformed(e *lqEntry) {
 	if !e.prefetch {
 		rob.destVal = e.value
 	}
-	rob.st = stCompleted
+	c.complete(e.robIdx)
 	if e.isUSL {
 		c.decideValidationOrExposure(e)
 	}
@@ -538,7 +538,7 @@ func (c *Core) exclusiveArrived(r memsys.Response) {
 			old := c.mem.Read(addr, e.inst.Size)
 			c.mem.Write(addr, e.inst.Size, old+e.src2Val)
 			e.destVal = old
-			e.st = stCompleted
+			c.complete(c.robHead)
 		}
 	}
 }

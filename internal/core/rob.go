@@ -234,6 +234,7 @@ func (c *Core) insertEntry(fi *fetchedInst) {
 	if isFenceLike(e) && !e.fenceDone {
 		c.fencesPending++
 	}
+	c.insertSched(phys, e)
 }
 
 // srcValue reads the producer a rename reference (slot, seq) names, and
@@ -249,120 +250,112 @@ func (c *Core) srcValue(slot int, seq uint64) (uint64, bool) {
 	return p.destVal, p.st == stCompleted
 }
 
-// srcReady pulls a source operand if its producer has completed, and reports
-// whether the operand is available.
-func (c *Core) srcReady(rob *int, seq, val *uint64) bool {
-	if *rob == noDep {
-		return true
+// captureSrc pulls an available source operand into val and drops its
+// rename reference.
+func (c *Core) captureSrc(rob *int, seq, val *uint64) {
+	if *rob != noDep {
+		*val, _ = c.srcValue(*rob, *seq)
+		*rob = noDep
 	}
-	v, ok := c.srcValue(*rob, *seq)
-	if !ok {
-		return false
-	}
-	*val = v
-	*rob = noDep
-	return true
 }
 
-func (c *Core) operandsReady(e *robEntry) bool {
-	r1 := c.srcReady(&e.src1Rob, &e.src1Seq, &e.src1Val)
-	r2 := c.srcReady(&e.src2Rob, &e.src2Seq, &e.src2Val)
-	return r1 && r2
+// captureOperands pulls both source operands of a ready entry (issue only
+// selects from the ready set, whose members have both available).
+func (c *Core) captureOperands(e *robEntry) {
+	c.captureSrc(&e.src1Rob, &e.src1Seq, &e.src1Val)
+	c.captureSrc(&e.src2Rob, &e.src2Seq, &e.src2Val)
 }
 
 // issue selects up to IssueWidth ready instructions, oldest first, honouring
-// functional-unit counts and fence blocking.
+// functional-unit counts and fence blocking. It walks only the ready and
+// barrier sets (sched.go): a dispatched entry whose operands are not yet
+// available neither issues nor blocks anything, and neither does an entry
+// past dispatch that is not a barrier. An entry skipped because an older
+// barrier blocks it does not block younger entries itself. The sets are
+// read live, so an entry woken earlier in this tick (including by this
+// walk's own completions) is issued in the same walk.
 func (c *Core) issue() {
 	slots := c.cfg.IssueWidth
 	alus := c.cfg.IntALUs
 	muldivs := c.cfg.MulDivUnits
 	agus := c.cfg.L1D.Ports
 	blockedAll := false // incomplete synthetic (defense) fence seen
-	blockedMem := false // incomplete memory fence / acquire seen
-	for i := 0; i < c.robCnt && slots > 0; i++ {
-		e := c.robAt(i)
+	blockedMem := false // incomplete memory fence / acquire / atomic seen
+	for l, p := c.nextIn(0, c.ready, c.barrier); l < c.robCnt && slots > 0; l, p = c.nextIn(l+1, c.ready, c.barrier) {
+		e := &c.rob[p]
 		op := e.inst.Op
 		if e.st == stDispatched {
 			if blockedAll {
-				continue
+				return // nothing younger may issue
 			}
 			if blockedMem && (op.IsMem() || op == isa.OpFence) {
 				continue
 			}
-			if !c.operandsReady(e) {
+			if !c.ready.has(p) {
 				goto trackFences
 			}
+			c.captureOperands(e)
 			switch {
 			case op == isa.OpCycle:
 				if alus == 0 {
 					goto trackFences
 				}
 				alus--
-				c.startExec(e, 1)
+				c.startExec(p, 1)
 			case op == isa.OpMul:
 				if muldivs == 0 {
 					goto trackFences
 				}
 				muldivs--
-				c.startExec(e, uint64(c.cfg.LatMul))
+				c.startExec(p, uint64(c.cfg.LatMul))
 			case op == isa.OpDiv || op == isa.OpDivS || op == isa.OpRemU:
 				if muldivs == 0 {
 					goto trackFences
 				}
 				muldivs--
-				c.startExec(e, uint64(c.cfg.LatDiv))
+				c.startExec(p, uint64(c.cfg.LatDiv))
 			case op.IsALU():
 				if alus == 0 {
 					goto trackFences
 				}
 				alus--
-				c.startExec(e, uint64(c.cfg.LatALU))
+				c.startExec(p, uint64(c.cfg.LatALU))
 			case op.IsBranch():
 				if alus == 0 {
 					goto trackFences
 				}
 				alus--
-				c.startExec(e, 1)
+				c.startExec(p, 1)
 			case op.IsMem():
 				// Address generation.
 				if agus == 0 {
 					goto trackFences
 				}
 				agus--
-				c.startExec(e, 1)
+				c.startExec(p, 1)
 			case op == isa.OpFence || op == isa.OpAcquire || op == isa.OpRelease:
 				// Fences occupy no FU; completion is tracked separately.
 				e.st = stWaitMem
+				c.ready.remove(p)
 			default:
-				e.st = stCompleted
+				c.complete(p)
 			}
 			slots--
 		}
 	trackFences:
-		if isFenceLike(e) && !e.fenceDone {
-			if e.synthetic {
-				blockedAll = true
-			} else if op == isa.OpFence || op == isa.OpAcquire {
-				blockedMem = true
-			}
-		}
-		// An incomplete atomic blocks younger memory operations: it has
-		// fence semantics, and younger loads have no forwarding path from
-		// it, so letting them read around it would break program order.
-		if op == isa.OpRMW && e.st != stCompleted {
-			blockedMem = true
-		}
+		all, mem := blocksYounger(e)
+		blockedAll = blockedAll || all
+		blockedMem = blockedMem || mem
 	}
 }
 
-// startExec sends e to a functional unit for lat cycles, keeping execDue a
-// lower bound on every executing entry's completion cycle.
-func (c *Core) startExec(e *robEntry, lat uint64) {
+// startExec sends the entry in slot p to a functional unit for lat cycles.
+func (c *Core) startExec(p int, lat uint64) {
+	e := &c.rob[p]
 	e.st = stExecuting
 	e.execDoneAt = c.now + lat
-	if e.execDoneAt < c.execDue {
-		c.execDue = e.execDoneAt
-	}
+	c.ready.remove(p)
+	c.execing.add(p)
 }
 
 func isFenceLike(e *robEntry) bool {
@@ -374,38 +367,28 @@ func isFenceLike(e *robEntry) bool {
 }
 
 // completeExec moves instructions whose functional-unit latency has elapsed
-// into the completed state, resolving branches and store addresses. It
-// skips the scan while no entry can be due (c.now < execDue) and leaves
-// execDue at the earliest completion still pending; a squash that aborts
-// the scan leaves survivors unscanned, so it resets the bound to 0.
+// out of stExecuting, resolving branches and store addresses. It walks the
+// executing set oldest first; a squash ends the walk (the squash dropped
+// every younger entry from the set, and older survivors still due are
+// taken next cycle).
 func (c *Core) completeExec() {
-	if c.now < c.execDue {
-		return
-	}
-	due := NeverWake
-	for i := 0; i < c.robCnt; i++ {
-		e := c.robAt(i)
-		if e.st != stExecuting {
-			continue
-		}
+	for l, p := c.nextIn(0, c.execing, c.execing); l < c.robCnt; l, p = c.nextIn(l+1, c.execing, c.execing) {
+		e := &c.rob[p]
 		if e.execDoneAt > c.now {
-			if e.execDoneAt < due {
-				due = e.execDoneAt
-			}
 			continue
 		}
+		c.execing.remove(p)
 		op := e.inst.Op
 		switch {
 		case op == isa.OpCycle:
 			e.destVal = c.now
-			e.st = stCompleted
+			c.complete(p)
 		case op.IsALU():
 			e.destVal = isa.EvalALU(op, e.src1Val, e.src2Val, e.inst.Imm)
-			e.st = stCompleted
+			c.complete(p)
 		case op.IsBranch():
-			if c.resolveBranch(i, e) {
-				c.execDue = 0
-				return // squash invalidated the scan
+			if c.resolveBranch(l, e) {
+				return // squash invalidated the walk
 			}
 		case op == isa.OpLoad || op == isa.OpPrefetch:
 			lq := &c.lq[e.lqIdx]
@@ -421,18 +404,16 @@ func (c *Core) completeExec() {
 			sq.addrReady = true
 			sq.data = e.src2Val
 			sq.dataReady = true
-			e.st = stCompleted
-			if c.storeAliasSquash(i, sq) {
-				c.execDue = 0
+			c.complete(p)
+			if c.storeAliasSquash(l, sq) {
 				return
 			}
 		case op == isa.OpRMW, op == isa.OpFlush:
 			e.st = stWaitMem // waits for ROB head; memStep issues it
 		default:
-			e.st = stCompleted
+			c.complete(p)
 		}
 	}
-	c.execDue = due
 }
 
 // resolveBranch compares outcome with prediction, squashing on a
@@ -465,7 +446,7 @@ func (c *Core) resolveBranch(logical int, e *robEntry) bool {
 			c.bp.TrainTarget(e.pc, e.actualTarget)
 		}
 	}
-	e.st = stCompleted
+	c.complete(c.robPhys(logical))
 
 	if c.fetchStalled && e.btbMiss {
 		// This is the exact instruction fetch is stalled on (BTB miss), by
@@ -536,7 +517,7 @@ func (c *Core) updateFenceCompletion() {
 			}
 			if done {
 				e.fenceDone = true
-				e.st = stCompleted
+				c.complete(c.robPhys(i))
 				c.fencesPending--
 			}
 		}

@@ -65,6 +65,7 @@ func (c *Core) squashFromLogical(L int, reason stats.SquashReason, redirect int,
 		if isFenceLike(e) && !e.fenceDone {
 			c.fencesPending--
 		}
+		c.unschedule(c.robPhys(i))
 		e.valid = false
 	}
 	// Squash-time defense cleanup (e.g. SpecBox flushes the labels of the

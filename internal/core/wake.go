@@ -28,11 +28,15 @@ import (
 //	fencesPending  incomplete fence-like entries: updateFenceCompletion and
 //	               fenceWouldComplete stop after the last one, and skip the
 //	               ROB entirely at 0 (fence stage).
-//	execDue        lower bound on executing entries' execDoneAt, kept by
-//	               startExec; completeExec skips while now < execDue, and its
-//	               mid-scan squash exits reset it to 0 (execute stage).
+//	ready          dispatched entries whose operands are both available;
+//	barrier        incomplete fence-likes and atomics; issue and robWake
+//	               walk ready ∪ barrier oldest first (issue stage).
+//	execing        entries in a functional unit; completeExec and robWake's
+//	               wake hint walk it (execute stage). All three are bitsets
+//	               over physical ROB slots kept by insertSched, complete,
+//	               startExec and unschedule (sched.go).
 //	retVal, srcNSeq  retired producers' values and the seq each rename
-//	               reference expects; srcReady (and srcAvailable here) read a
+//	               reference expects; srcValue (and srcAvailable here) read a
 //	               retired producer from retVal, so popHead is O(1)
 //	               (rename/retire stage).
 
@@ -249,49 +253,43 @@ func (c *Core) headMemWouldAct() bool {
 	return false
 }
 
-// robWake mirrors issue and completeExec over the ROB window: it reports
-// busy when a dispatched entry is ready and unblocked (issue would fire),
-// and otherwise collects the earliest functional-unit completion as a wake
-// hint (completeExec compares execDoneAt for equality-or-past, so the jump
-// must land exactly on it — OpCycle reads the landing cycle as its value).
+// robWake mirrors issue and completeExec over the scheduling sets: it
+// reports busy when issue's walk of the ready and barrier sets would reach
+// an unblocked ready entry, and otherwise collects the earliest
+// functional-unit completion in the executing set as a wake hint
+// (completeExec compares execDoneAt for equality-or-past, so the jump must
+// land exactly on it — OpCycle reads the landing cycle as its value).
 func (c *Core) robWake() (uint64, bool) {
-	wake := NeverWake
 	blockedAll := false // incomplete synthetic (defense) fence seen
 	blockedMem := false // incomplete memory fence / acquire / atomic seen
-	for i := 0; i < c.robCnt; i++ {
-		e := c.robAt(i)
+	for l, p := c.nextIn(0, c.ready, c.barrier); l < c.robCnt && !blockedAll; l, p = c.nextIn(l+1, c.ready, c.barrier) {
+		e := &c.rob[p]
 		op := e.inst.Op
-		if e.st == stExecuting && e.execDoneAt < wake {
-			wake = e.execDoneAt
-		}
 		if e.st == stDispatched {
 			// Mirror issue()'s skip structure: entries suppressed by an older
 			// fence do not track their own fence flags this cycle either.
-			if blockedAll {
-				continue
-			}
 			if blockedMem && (op.IsMem() || op == isa.OpFence) {
 				continue
 			}
-			if c.srcAvailable(e.src1Rob, e.src1Seq) && c.srcAvailable(e.src2Rob, e.src2Seq) {
+			if c.ready.has(p) {
 				return 0, true
 			}
 		}
-		if isFenceLike(e) && !e.fenceDone {
-			if e.synthetic {
-				blockedAll = true
-			} else if op == isa.OpFence || op == isa.OpAcquire {
-				blockedMem = true
-			}
-		}
-		if op == isa.OpRMW && e.st != stCompleted {
-			blockedMem = true
+		all, mem := blocksYounger(e)
+		blockedAll = blockedAll || all
+		blockedMem = blockedMem || mem
+	}
+	wake := NeverWake
+	for l, p := c.nextIn(0, c.execing, c.execing); l < c.robCnt; l, p = c.nextIn(l+1, c.execing, c.execing) {
+		if d := c.rob[p].execDoneAt; d < wake {
+			wake = d
 		}
 	}
 	return wake, false
 }
 
-// srcAvailable mirrors srcReady read-only.
+// srcAvailable reports whether the value a rename reference names is
+// available (a noDep reference holds its value already).
 func (c *Core) srcAvailable(slot int, seq uint64) bool {
 	if slot == noDep {
 		return true

@@ -179,6 +179,26 @@ func TestMutationFenceCountCaught(t *testing.T) {
 	}
 }
 
+// Mutation self-test 5: a ready set that disagrees with the ROB window (the
+// issue queue the issue stage and its robWake mirror walk) must trip the
+// core structural checker.
+func TestMutationReadySetCaught(t *testing.T) {
+	m := newMachine(t, config.Base)
+	m.EnableChecking(invariant.Options{Interval: 64})
+	if err := m.RunInstructions(100, 1_000_000); err != nil {
+		t.Fatalf("warmup: %v", err)
+	}
+	if err := m.CheckNow(); err != nil {
+		t.Fatalf("clean machine fails checking: %v", err)
+	}
+	m.Cores[1].InjectReadySkew()
+	err := m.CheckNow()
+	assertViolation(t, err, "core-structural")
+	if !strings.Contains(err.Error(), "ready set") {
+		t.Fatalf("violation does not name the ready set: %v", err)
+	}
+}
+
 // A fully wedged machine under the fast kernel must not burn host time
 // stepping dead cycles: with no checker stride to land on, the scheduler
 // jumps straight between sweep boundaries, so detection needs only

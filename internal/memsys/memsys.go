@@ -155,6 +155,7 @@ type Hierarchy struct {
 	now    uint64
 	events eventHeap
 	seq    uint64
+	free   []*event // events that have run, reused by push
 
 	// Event conservation: every at() increments scheduled, every executed
 	// callback increments run, so scheduled == run + len(events) always.
@@ -230,7 +231,13 @@ func (h *Hierarchy) Tick(now uint64) {
 	for len(h.events) > 0 && h.events[0].cycle <= now {
 		ev := heap.Pop(&h.events).(*event)
 		h.eventsRun++
-		ev.fn()
+		if ev.fn != nil {
+			ev.fn()
+		} else {
+			h.clients[ev.core].Deliver(h.now, ev.resp)
+		}
+		*ev = event{}
+		h.free = append(h.free, ev)
 	}
 	for _, c := range h.l1d {
 		c.portsUsed = 0
@@ -242,13 +249,32 @@ func (h *Hierarchy) Tick(now uint64) {
 
 // at schedules fn to run at the given cycle (clamped to the next tick if in
 // the past). Events at the same cycle run in scheduling order.
-func (h *Hierarchy) at(cycle uint64, fn func()) {
+func (h *Hierarchy) at(cycle uint64, fn func()) { h.push(cycle).fn = fn }
+
+// deliverAt schedules resp's delivery to core's client at cycle, as at
+// does, without a closure: every L1 hit schedules one.
+func (h *Hierarchy) deliverAt(cycle uint64, core int, resp Response) {
+	ev := h.push(cycle)
+	ev.core, ev.resp = core, resp
+}
+
+// push queues a blank event at cycle, clamped to the next tick if in the
+// past, reusing one that has run when it can.
+func (h *Hierarchy) push(cycle uint64) *event {
 	if cycle <= h.now {
 		cycle = h.now + 1
 	}
 	h.seq++
 	h.eventsScheduled++
-	heap.Push(&h.events, &event{cycle: cycle, seq: h.seq, fn: fn})
+	var ev *event
+	if n := len(h.free); n > 0 {
+		ev, h.free = h.free[n-1], h.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.cycle, ev.seq = cycle, h.seq
+	heap.Push(&h.events, ev)
+	return ev
 }
 
 // DebugEventHistogram returns pending event counts bucketed by relative due
@@ -280,10 +306,14 @@ func (h *Hierarchy) NextWake(now uint64) uint64 {
 	return now + 1
 }
 
+// event is one scheduled callback: fn, or with fn nil the delivery of resp
+// to core's client.
 type event struct {
 	cycle uint64
 	seq   uint64
 	fn    func()
+	core  int
+	resp  Response
 }
 
 type eventHeap []*event

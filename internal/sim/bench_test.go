@@ -6,6 +6,9 @@ package sim_test
 // is outside the timer) under both kernels, on a memory-bound kernel (mcf),
 // a compute-bound one (hmmer) and an eight-core PARSEC kernel (canneal).
 // Host time is the metric here; simulated results are gated elsewhere.
+// BenchmarkCoreTick also reports ns/ticked-cycle: host time per machine
+// cycle the kernel actually ticked (fast-forwarded cycles excluded), the
+// quantity perfbench reports as engine.ns_per_ticked_cycle.
 
 import (
 	"testing"
@@ -72,6 +75,7 @@ func BenchmarkCoreTick(b *testing.B) {
 				}
 				b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instr/s")
 				b.ReportMetric(100*float64(skipped)/float64(cycles), "skip%")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles-skipped), "ns/ticked-cycle")
 			})
 		}
 	}
